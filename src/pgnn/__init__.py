@@ -6,10 +6,10 @@ a small reverse-mode tape to train it, and a CLI for the experiments.
 """
 
 from .graph import (EdgeListFormatError, EdgeSplit, Graph, TASKS,
-                    augment_one_hot, connected_caveman, constant_features,
-                    grid_graph, load_edge_list, load_feature_csv,
-                    load_node_labels, split_pairs, write_edge_list,
-                    write_node_labels)
+                    augment_one_hot, component_sizes, connected_caveman,
+                    constant_features, grid_graph, load_edge_list,
+                    load_feature_csv, load_node_labels, split_pairs,
+                    write_edge_list, write_node_labels)
 from .metric import (UNREACHABLE, AnchorFamily, DisconnectedGraphError,
                      DistanceMatrix, all_pairs, all_pairs_within,
                      anchor_family_size, bfs_from, bourgain_embed,
@@ -33,8 +33,8 @@ __all__ = [
     "PGNNLayerParams", "PGNNParams", "RepeatResult", "SETTINGS", "ShapeError",
     "TASKS", "Tape", "TrainConfig", "UNREACHABLE", "VARIANTS", "Value",
     "adam_step", "all_pairs", "all_pairs_within", "anchor_family_size",
-    "augment_one_hot", "bfs_from", "bourgain_embed", "connected_caveman",
-    "constant_features", "epoch_loss", "gcn_forward",
+    "augment_one_hot", "bfs_from", "bourgain_embed", "component_sizes",
+    "connected_caveman", "constant_features", "epoch_loss", "gcn_forward",
     "grid_graph", "init_gcn_params", "init_pgnn_params", "load_edge_list",
     "load_feature_csv", "load_node_labels", "make_distance_input",
     "measure_distortion", "model_label", "pair_score", "pgnn_forward",

@@ -19,9 +19,10 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .graph import (Graph, connected_caveman, constant_features, grid_graph,
-                    load_edge_list, load_feature_csv, load_node_labels,
-                    split_pairs, write_edge_list, write_node_labels, TASKS)
+from .graph import (Graph, component_sizes, connected_caveman, constant_features,
+                    grid_graph, load_edge_list, load_feature_csv,
+                    load_node_labels, split_pairs, write_edge_list,
+                    write_node_labels, TASKS)
 from .metric import (AnchorFamily, DisconnectedGraphError, all_pairs,
                      bourgain_embed, measure_distortion, sample_anchor_family)
 from .model import (GCNConfig, PGNNConfig, PGNNParams, gcn_forward,
@@ -29,7 +30,7 @@ from .model import (GCNConfig, PGNNConfig, PGNNParams, gcn_forward,
                     pgnn_forward)
 from .tensor import Tape
 from .train import (SETTINGS, TrainConfig, _forward_graph, _score_pairs,
-                    roc_auc, run_experiment)
+                    model_label, roc_auc, run_experiment)
 
 CHECKPOINT_MAGIC = b"PGNNCKPT"
 CHECKPOINT_VERSION = 1
@@ -132,7 +133,7 @@ def _parse_model(section: dict):
         _check_unknown(section, {"kind", "layers", "variant", "anchor_c",
                                  "message_dim", "closest_node_agg",
                                  "resample_anchors"}, "model.")
-        cfg = PGNNConfig(
+        make_cfg, kwargs = PGNNConfig, dict(
             layers=_get(section, "layers", "model.", int, 2),
             anchor_c=_get(section, "anchor_c", "model.", float, 1.0),
             variant=_get(section, "variant", "model.", str, "exact"),
@@ -140,15 +141,18 @@ def _parse_model(section: dict):
             closest_node_agg=_get(section, "closest_node_agg", "model.", bool, True),
             resample_anchors=_get(section, "resample_anchors", "model.", bool, True),
         )
-        resolved = {"kind": "pgnn", **asdict(cfg)}
     elif kind == "gcn":
         _check_unknown(section, {"kind", "layers", "message_dim"}, "model.")
-        cfg = GCNConfig(layers=_get(section, "layers", "model.", int, 2),
-                        message_dim=_get(section, "message_dim", "model.", int, 32))
-        resolved = {"kind": "gcn", **asdict(cfg)}
+        make_cfg, kwargs = GCNConfig, dict(
+            layers=_get(section, "layers", "model.", int, 2),
+            message_dim=_get(section, "message_dim", "model.", int, 32))
     else:
         raise ConfigError(f"config key model.kind has unsupported value {kind!r}")
-    return cfg, resolved
+    try:
+        cfg = make_cfg(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg, {"kind": kind, **asdict(cfg)}
 
 
 def _parse_run_config(raw: dict, seed_override: int | None,
@@ -287,15 +291,25 @@ def load_checkpoint(path: str) -> tuple[dict, list[np.ndarray]]:
 # commands
 
 
-def _cmd_generate(args) -> int:
+def _dataset_section(args) -> dict:
+    """The config ``dataset`` section named by a command's positional arguments."""
     if args.dataset == "grid":
-        g = grid_graph(args.rows, args.cols)
-        write_edge_list(args.out, g, f"grid {args.rows}x{args.cols}")
+        return {"kind": "grid", "rows": args.rows, "cols": args.cols}
+    if args.dataset == "communities":
+        return {"kind": "communities", "n_comm": args.n_comm,
+                "comm_size": args.comm_size, "rewire_prob": args.rewire_prob,
+                "seed": args.seed}
+    return {"kind": "edge_list", "path": args.path}
+
+
+def _cmd_generate(args) -> int:
+    build, _, ds = _parse_dataset(_dataset_section(args))
+    g = build()
+    if ds["kind"] == "grid":
+        write_edge_list(args.out, g, f"grid {ds['rows']}x{ds['cols']}")
     else:
-        g = connected_caveman(args.n_comm, args.comm_size, args.rewire_prob,
-                              args.seed)
-        header = (f"communities n_comm={args.n_comm} comm_size={args.comm_size} "
-                  f"rewire_prob={args.rewire_prob} seed={args.seed}")
+        header = "communities " + " ".join(
+            f"{key}={value}" for key, value in ds.items() if key != "kind")
         write_edge_list(args.out, g, header)
         labels_path = os.path.splitext(args.out)[0] + ".labels"
         write_node_labels(labels_path, g, header)
@@ -353,31 +367,25 @@ def _cmd_eval(args) -> int:
     (build, name, task, split_args, _model_cfg, train_cfg,
      resolved) = _parse_run_config(raw, args.seed, args.repeats)
     header, arrays = load_checkpoint(args.checkpoint)
-    model_resolved = header["model_config"]
+    model_cfg, _ = _parse_model(header["model_config"])
     g = build()
     split = split_pairs(g, task, *split_args)
     fg = _forward_graph(g, split, train_cfg.setting)
     tape = Tape()
-    if model_resolved["kind"] == "pgnn":
-        model_cfg = PGNNConfig(**{k: v for k, v in model_resolved.items()
-                                  if k != "kind"})
+    if isinstance(model_cfg, PGNNConfig):
         dm = make_distance_input(fg, model_cfg)
         fam = sample_anchor_family(fg.n, model_cfg.anchor_c, header["anchor_seed"])
         emb = pgnn_forward(tape, fg, dm, fam,
                            PGNNParams.from_list(arrays), model_cfg)
         z = emb.z.data
-        model_name = f"pgnn-{model_cfg.variant[0]}-{model_cfg.layers}l"
     else:
-        model_cfg = GCNConfig(**{k: v for k, v in model_resolved.items()
-                                 if k != "kind"})
         z = gcn_forward(tape, fg, arrays, model_cfg.layers).data
-        model_name = f"gcn-{model_cfg.layers}l"
     val_scores, val_labels = _score_pairs(z, split.val_pos, split.val_neg)
     test_scores, test_labels = _score_pairs(z, split.test_pos, split.test_neg)
     payload = {
         "task": task,
         "dataset": name,
-        "model": model_name,
+        "model": model_label(model_cfg),
         "setting": train_cfg.setting,
         "val_auc": roc_auc(val_scores, val_labels),
         "test_auc": roc_auc(test_scores, test_labels),
@@ -387,48 +395,22 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _component_sizes(g: Graph) -> list[int]:
-    seen = [False] * g.n
-    sizes = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        size = 0
-        while stack:
-            u = stack.pop()
-            size += 1
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        sizes.append(size)
-    return sizes
-
-
 def _cmd_distortion(args) -> int:
-    if args.dataset == "grid":
-        g = grid_graph(args.rows, args.cols)
-        n_label = f"grid-{args.rows}x{args.cols}"
-    elif args.dataset == "communities":
-        g = connected_caveman(args.n_comm, args.comm_size, args.rewire_prob,
-                              args.seed)
-        n_label = f"communities-{args.n_comm}x{args.comm_size}"
-    else:
-        g = load_edge_list(args.path)
-        n_label = os.path.splitext(os.path.basename(args.path))[0]
-    sizes = _component_sizes(g)
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    if not 0 < args.anchor_c < math.inf:
+        raise ConfigError(f"--anchor-c must be finite and > 0, got {args.anchor_c}")
+    build, name, _ = _parse_dataset(_dataset_section(args))
+    g = build()
+    sizes = component_sizes(g.adjacency)
     if len(sizes) > 1:
         raise DisconnectedGraphError(
-            f"{n_label}: graph has {len(sizes)} components with sizes {sizes}")
+            f"{name}: graph has {len(sizes)} components with sizes {sizes}")
     p = math.inf if args.p == "inf" else int(args.p)
     dm = all_pairs(g)
     per = []
-    k = None
     for t in range(args.repeats):
         fam = sample_anchor_family(g.n, args.anchor_c, args.seed + t)
-        k = fam.k
         emb = bourgain_embed(dm, fam)
         expansion, contraction, distortion = measure_distortion(dm, emb, p)
         per.append({"expansion": expansion, "contraction": contraction,
@@ -437,7 +419,7 @@ def _cmd_distortion(args) -> int:
         "n": g.n,
         "c": args.anchor_c,
         "p": "inf" if p == math.inf else p,
-        "k": k,
+        "k": fam.k,
         "repeats": args.repeats,
         "per_repeat": per,
         "expansion": _stats([r["expansion"] for r in per]),
@@ -498,9 +480,7 @@ def _add_dataset_subparsers(sub):
     comm.add_argument("n_comm", type=int)
     comm.add_argument("comm_size", type=int)
     comm.add_argument("rewire_prob", type=float)
-    edge = sub.add_parser("edge-list", help="load from an edge-list file")
-    edge.add_argument("path")
-    return grid, comm, edge
+    return grid, comm
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,13 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen_parent = sub.add_parser("generate", help="write synthetic datasets to disk")
     gen_sub = gen_parent.add_subparsers(dest="dataset", required=True)
-    g_grid = gen_sub.add_parser("grid", help="2-d lattice")
-    g_grid.add_argument("rows", type=int)
-    g_grid.add_argument("cols", type=int)
-    g_comm = gen_sub.add_parser("communities", help="ring of rewired cliques")
-    g_comm.add_argument("n_comm", type=int)
-    g_comm.add_argument("comm_size", type=int)
-    g_comm.add_argument("rewire_prob", type=float)
+    g_grid, g_comm = _add_dataset_subparsers(gen_sub)
     g_comm.add_argument("--seed", type=int, default=0)
     for sp in (g_grid, g_comm):
         sp.add_argument("--out", required=True, help="edge-list output path")
@@ -542,7 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     dist = sub.add_parser("distortion",
                           help="anchor-distance embedding distortion statistics")
     dist_sub = dist.add_subparsers(dest="dataset", required=True)
-    d_grid, d_comm, d_edge = _add_dataset_subparsers(dist_sub)
+    d_grid, d_comm = _add_dataset_subparsers(dist_sub)
+    d_edge = dist_sub.add_parser("edge-list", help="load from an edge-list file")
+    d_edge.add_argument("path")
     for sp in (d_grid, d_comm, d_edge):
         sp.add_argument("--anchor-c", type=float, default=1.0, dest="anchor_c")
         sp.add_argument("--p", choices=["1", "2", "inf"], default="1")

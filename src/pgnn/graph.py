@@ -7,7 +7,6 @@ no duplicate edges.  Node ids are dense integers starting at 0.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Literal
 
@@ -98,20 +97,28 @@ class Graph:
         return v in self.adjacency[u]
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adjacency[u]:
+        return len(component_sizes(self.adjacency)) == 1
+
+
+def component_sizes(adjacency) -> list[int]:
+    """Sizes of the components of per-node neighbor lists, by smallest node id."""
+    seen = [False] * len(adjacency)
+    sizes = []
+    for start in range(len(adjacency)):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        size = 0
+        while stack:
+            u = stack.pop()
+            size += 1
+            for v in adjacency[u]:
                 if not seen[v]:
                     seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == self.n
+                    stack.append(v)
+        sizes.append(size)
+    return sizes
 
 
 # ----------------------------------------------------------------------
@@ -131,25 +138,6 @@ def grid_graph(rows: int, cols: int) -> Graph:
             if r + 1 < rows:
                 edges.append((u, u + cols))
     return Graph.from_edges(rows * cols, edges)
-
-
-def _connected_with(n: int, edge_set: set[Pair]) -> bool:
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edge_set:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in nbrs[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == n
 
 
 def connected_caveman(n_comm: int, comm_size: int, rewire_prob: float,
@@ -203,7 +191,11 @@ def connected_caveman(n_comm: int, comm_size: int, rewire_prob: float,
                 continue
             edge_set.discard(edge)
             edge_set.add(cand)
-            if _connected_with(n, edge_set):
+            nbrs: list[list[int]] = [[] for _ in range(n)]
+            for a, b in edge_set:
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+            if len(component_sizes(nbrs)) == 1:
                 break
             edge_set.discard(cand)
             edge_set.add(edge)

@@ -8,11 +8,12 @@ arithmetic path masks it explicitly.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .graph import Graph
 
@@ -53,45 +54,32 @@ class DistanceMatrix:
         return not np.any(self.d == UNREACHABLE)
 
 
-def _bfs(g: Graph, source: int, depth_limit: int | None) -> np.ndarray:
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if depth_limit is not None and du >= depth_limit:
-            continue
-        for v in g.adjacency[u]:
-            if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
+def _hop_counts(g: Graph, limit: float = math.inf, indices=None) -> np.ndarray:
+    """Hop counts from ``indices`` (default all nodes), UNREACHABLE past ``limit``."""
+    indptr = np.cumsum([0] + [len(nbrs) for nbrs in g.adjacency])
+    cols = np.array([v for nbrs in g.adjacency for v in nbrs], dtype=np.int64)
+    adj = csr_matrix((np.ones(cols.size), cols, indptr), shape=(g.n, g.n))
+    d = dijkstra(adj, directed=False, unweighted=True, limit=limit, indices=indices)
+    return np.where(np.isinf(d), UNREACHABLE, d).astype(np.int64)
 
 
 def bfs_from(g: Graph, source: int) -> np.ndarray:
     """Hop counts from one source; UNREACHABLE where no path exists."""
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
-    return _bfs(g, source, None)
+    return _hop_counts(g, indices=source)
 
 
 def all_pairs(g: Graph) -> DistanceMatrix:
-    """All-pairs hop counts via one BFS per node."""
-    d = np.empty((g.n, g.n), dtype=np.int64)
-    for s in range(g.n):
-        d[s] = _bfs(g, s, None)
-    return DistanceMatrix(d)
+    """All-pairs hop counts."""
+    return DistanceMatrix(_hop_counts(g))
 
 
 def all_pairs_within(g: Graph, q: int) -> DistanceMatrix:
-    """All-pairs hop counts exploring only the q-hop neighborhood per node."""
+    """All-pairs hop counts up to q; pairs further apart are UNREACHABLE."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    d = np.empty((g.n, g.n), dtype=np.int64)
-    for s in range(g.n):
-        d[s] = _bfs(g, s, q)
-    return DistanceMatrix(d)
+    return DistanceMatrix(_hop_counts(g, q))
 
 
 def truncate(dm: DistanceMatrix, q) -> DistanceMatrix:

@@ -138,16 +138,10 @@ def roc_auc(scores, labels) -> float:
     q = s.size - p
     if p == 0 or q == 0:
         raise ValueError("roc_auc is undefined when only one class is present")
-    order = np.argsort(s, kind="mergesort")
-    sorted_s = s[order]
-    ranks = np.empty(s.size, dtype=np.float64)
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # 1-based rank of each score, averaged over its block of ties
+    sorted_s = np.sort(s)
+    ranks = 0.5 * (np.searchsorted(sorted_s, s, side="left")
+                   + np.searchsorted(sorted_s, s, side="right") + 1)
     pos_rank_sum = ranks[y == 1].sum()
     return float((pos_rank_sum - p * (p + 1) / 2.0) / (p * q))
 

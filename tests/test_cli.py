@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pgnn
+from pgnn import cli
 from pgnn.cli import load_checkpoint, main, save_checkpoint
 from pgnn.graph import grid_graph, load_edge_list, load_node_labels
 
@@ -87,6 +91,10 @@ def test_train_seed_and_repeats_overrides(tmp_path, capsys):
 
 def test_train_run_is_byte_deterministic(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
+    # the child imports the same pgnn as this process, installed or not
+    env = dict(os.environ)
+    pkg_root = str(Path(pgnn.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
     blobs = []
     for tag in ("a", "b"):
         mpath = tmp_path / f"{tag}.json"
@@ -94,7 +102,7 @@ def test_train_run_is_byte_deterministic(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "pgnn.cli", "train", "--config", cfg,
              "--out", str(mpath), "--checkpoint", str(cpath)],
-            capture_output=True, text=True)
+            env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "wall_time_s=" in proc.stderr
         blobs.append((mpath.read_bytes(), cpath.read_bytes()))
@@ -134,6 +142,15 @@ def test_unknown_config_keys_fail_fast(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", task="regression")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 1
     assert "task" in capsys.readouterr().err
+
+    # values the model configs reject are validation errors too
+    for model, field in (({"kind": "pgnn", "layers": 0}, "layers"),
+                         ({"kind": "pgnn", "message_dim": 0}, "message_dim"),
+                         ({"kind": "pgnn", "variant": "slow"}, "variant"),
+                         ({"kind": "gcn", "layers": 9}, "layers")):
+        cfg = write_config(tmp_path / "cfg.json", model=model)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 1
+        assert field in capsys.readouterr().err
 
 
 def test_config_file_errors(tmp_path, capsys):
@@ -175,7 +192,18 @@ def test_distortion_rejects_disconnected_input(tmp_path, capsys):
     edges.write_text("0 1\n2 3\n")
     code = main(["distortion", "edge-list", str(edges)])
     assert code == 2
-    assert "components" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "two_parts: graph has 2 components with sizes [2, 2]" in err
+
+
+def test_distortion_rejects_bad_flags_before_building(monkeypatch, capsys):
+    def no_build(*args):
+        raise AssertionError("graph built before the flags were checked")
+
+    monkeypatch.setattr(cli, "grid_graph", no_build)
+    for flag, value in (("--repeats", "0"), ("--anchor-c", "0")):
+        assert main(["distortion", "grid", "4", "4", flag, value]) == 1
+        assert flag in capsys.readouterr().err
 
 
 def test_symmetry_demo_reports_contrast(tmp_path, capsys):

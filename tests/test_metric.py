@@ -28,6 +28,10 @@ def path_graph(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+# two paths and two isolated nodes (1 and 6), so two adjacency rows are empty
+ISOLATED = Graph.from_edges(8, [(0, 2), (2, 3), (3, 4), (5, 7)])
+
+
 def as_sentinel(fw):
     """Map the float/inf reference matrix onto the int64 sentinel format."""
     return np.where(np.isinf(fw), UNREACHABLE, fw).astype(np.int64)
@@ -61,16 +65,18 @@ def test_all_pairs_matches_min_plus_reference():
         n = int(rng.integers(2, 40))
         g = random_connected_graph(n, rng, extra_edges=int(rng.integers(0, n)))
         assert np.array_equal(all_pairs(g).d, as_sentinel(floyd_warshall(g)))
-    # and one graph with several components
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
-    assert np.array_equal(all_pairs(g).d, as_sentinel(floyd_warshall(g)))
+    # a single node, several components, and isolated nodes (empty rows)
+    for g in (Graph.from_edges(1, []),
+              Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)]),
+              ISOLATED):
+        assert np.array_equal(all_pairs(g).d, as_sentinel(floyd_warshall(g)))
 
 
 def test_bounded_search_equals_truncated_exact():
     rng = np.random.default_rng(3)
-    for trial in range(8):
-        n = int(rng.integers(2, 30))
-        g = random_connected_graph(n, rng, extra_edges=2)
+    graphs = [random_connected_graph(int(rng.integers(2, 30)), rng, extra_edges=2)
+              for trial in range(8)]
+    for g in graphs + [Graph.from_edges(1, []), ISOLATED]:
         exact = all_pairs(g)
         for q in (1, 2, 3):
             assert np.array_equal(all_pairs_within(g, q).d, truncate(exact, q).d)
