@@ -19,10 +19,10 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .graph import (Graph, component_sizes, connected_caveman, constant_features,
-                    grid_graph, load_edge_list, load_feature_csv,
-                    load_node_labels, split_pairs, write_edge_list,
-                    write_node_labels, TASKS)
+from .graph import (TASKS, Graph, check_caveman, check_grid, component_sizes,
+                    connected_caveman, constant_features, grid_graph,
+                    load_edge_list, load_feature_csv, load_node_labels,
+                    split_pairs, write_edge_list, write_node_labels)
 from .metric import (AnchorFamily, DisconnectedGraphError, all_pairs,
                      bourgain_embed, measure_distortion, sample_anchor_family)
 from .model import (GCNConfig, PGNNConfig, PGNNParams, gcn_forward,
@@ -92,6 +92,7 @@ def _parse_dataset(section: dict):
         _check_unknown(section, {"kind", "rows", "cols"}, "dataset.")
         rows = _get(section, "rows", "dataset.", int)
         cols = _get(section, "cols", "dataset.", int)
+        _check_dataset(check_grid, rows, cols)
         resolved = {"kind": "grid", "rows": rows, "cols": cols}
         build = lambda: grid_graph(rows, cols)
         name = f"grid-{rows}x{cols}"
@@ -102,6 +103,7 @@ def _parse_dataset(section: dict):
         comm_size = _get(section, "comm_size", "dataset.", int)
         rewire_prob = _get(section, "rewire_prob", "dataset.", float, 0.01)
         seed = _get(section, "seed", "dataset.", int, 0)
+        _check_dataset(check_caveman, n_comm, comm_size, rewire_prob)
         resolved = {"kind": "communities", "n_comm": n_comm, "comm_size": comm_size,
                     "rewire_prob": rewire_prob, "seed": seed}
         build = lambda: connected_caveman(n_comm, comm_size, rewire_prob, seed)
@@ -125,6 +127,13 @@ def _parse_dataset(section: dict):
     else:
         raise ConfigError(f"config key dataset.kind has unsupported value {kind!r}")
     return build, name, resolved
+
+
+def _check_dataset(check, *args) -> None:
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"dataset.{exc}") from None
 
 
 def _parse_model(section: dict):
@@ -364,10 +373,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     raw = _load_config_file(args.config)
-    (build, name, task, split_args, _model_cfg, train_cfg,
+    (build, name, task, split_args, config_model, train_cfg,
      resolved) = _parse_run_config(raw, args.seed, args.repeats)
     header, arrays = load_checkpoint(args.checkpoint)
-    model_cfg, _ = _parse_model(header["model_config"])
+    model_cfg, ckpt_model = _parse_model(header["model_config"])
+    if resolved["model"] != ckpt_model:
+        raise ConfigError(f"config model {model_label(config_model)} {resolved['model']} does "
+                          f"not match checkpoint model {model_label(model_cfg)} {ckpt_model}")
     g = build()
     split = split_pairs(g, task, *split_args)
     fg = _forward_graph(g, split, train_cfg.setting)
@@ -400,7 +412,10 @@ def _cmd_distortion(args) -> int:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     if not 0 < args.anchor_c < math.inf:
         raise ConfigError(f"--anchor-c must be finite and > 0, got {args.anchor_c}")
-    build, name, _ = _parse_dataset(_dataset_section(args))
+    build, name, ds = _parse_dataset(_dataset_section(args))
+    if ds["kind"] == "grid" and ds["rows"] * ds["cols"] < 2:
+        raise ConfigError("distortion needs at least 2 nodes, got dataset.rows x "
+                          f"dataset.cols = {ds['rows']}x{ds['cols']}")
     g = build()
     sizes = component_sizes(g.adjacency)
     if len(sizes) > 1:

@@ -125,10 +125,16 @@ def component_sizes(adjacency) -> list[int]:
 # generators
 
 
+def check_grid(rows: int, cols: int) -> None:
+    """Raise ValueError naming the first grid dimension below 1."""
+    for name, value in (("rows", rows), ("cols", cols)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def grid_graph(rows: int, cols: int) -> Graph:
     """2-d lattice with 4-neighbor connectivity; node id = row * cols + col."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
+    check_grid(rows, cols)
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -138,6 +144,16 @@ def grid_graph(rows: int, cols: int) -> Graph:
             if r + 1 < rows:
                 edges.append((u, u + cols))
     return Graph.from_edges(rows * cols, edges)
+
+
+def check_caveman(n_comm: int, comm_size: int, rewire_prob: float) -> None:
+    """Raise ValueError naming the first caveman parameter out of range."""
+    if n_comm < 2:
+        raise ValueError(f"n_comm must be >= 2, got {n_comm}")
+    if comm_size < 2:
+        raise ValueError(f"comm_size must be >= 2, got {comm_size}")
+    if not (0.0 <= rewire_prob <= 1.0):
+        raise ValueError(f"rewire_prob must be in [0, 1], got {rewire_prob}")
 
 
 def connected_caveman(n_comm: int, comm_size: int, rewire_prob: float,
@@ -159,12 +175,7 @@ def connected_caveman(n_comm: int, comm_size: int, rewire_prob: float,
         rewire_prob: per-edge rewiring probability in [0, 1].
         seed: RNG seed; with rewire_prob == 0 the output is seed-independent.
     """
-    if n_comm < 2:
-        raise ValueError(f"n_comm must be >= 2, got {n_comm}")
-    if comm_size < 2:
-        raise ValueError(f"comm_size must be >= 2, got {comm_size}")
-    if not (0.0 <= rewire_prob <= 1.0):
-        raise ValueError(f"rewire_prob must be in [0, 1], got {rewire_prob}")
+    check_caveman(n_comm, comm_size, rewire_prob)
     n = n_comm * comm_size
     edge_set: set[Pair] = set()
     for c in range(n_comm):

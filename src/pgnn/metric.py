@@ -97,13 +97,12 @@ def truncate(dm: DistanceMatrix, q) -> DistanceMatrix:
     return DistanceMatrix(d)
 
 
-def similarity(d: int) -> float:
-    """1 / (hop count + 1); exactly 0.0 for UNREACHABLE."""
-    if d == UNREACHABLE:
-        return 0.0
-    if d < 0:
+def similarity(d):
+    """1 / (hop count + 1), elementwise for an array; exactly 0.0 for UNREACHABLE."""
+    d = np.asarray(d)
+    if np.any(d < UNREACHABLE):
         raise ValueError(f"negative hop count {d}")
-    return 1.0 / (d + 1.0)
+    return np.where(d != UNREACHABLE, 1.0 / (np.maximum(d, 0) + 1.0), 0.0)[()]
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +173,28 @@ def sample_anchor_family(n: int, c: float, seed: int) -> AnchorFamily:
                         c=c, seed=seed)
 
 
+def closest_members(dm: DistanceMatrix,
+                    members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per node: the closest member of an anchor set and its hop count.
+
+    Distance ties break to the lowest member id.  Both entries are
+    UNREACHABLE where the node reaches no member, and everywhere for an
+    empty set.
+    """
+    if len(members) == 0:
+        return (np.full(dm.n, UNREACHABLE, dtype=np.int64),
+                np.full(dm.n, UNREACHABLE, dtype=np.int64))
+    mem = np.asarray(members, dtype=np.int64)
+    sub = dm.d[:, mem]
+    big = np.iinfo(np.int64).max
+    masked = np.where(sub == UNREACHABLE, big, sub)
+    pos = masked.argmin(axis=1)
+    dist = masked[np.arange(dm.n), pos]
+    reach = dist != big
+    return (np.where(reach, mem[pos], UNREACHABLE),
+            np.where(reach, dist, UNREACHABLE))
+
+
 def set_distance(dm: DistanceMatrix, v: int, members: Sequence[int]) -> int:
     """Distance from node v to an anchor set: min over members.
 
@@ -181,24 +202,7 @@ def set_distance(dm: DistanceMatrix, v: int, members: Sequence[int]) -> int:
     """
     if not (0 <= v < dm.n):
         raise ValueError(f"node {v} out of range for n={dm.n}")
-    if len(members) == 0:
-        return UNREACHABLE
-    vals = dm.d[v, np.asarray(members, dtype=np.int64)]
-    reachable = vals[vals != UNREACHABLE]
-    if reachable.size == 0:
-        return UNREACHABLE
-    return int(reachable.min())
-
-
-def _set_distances(dm: DistanceMatrix, members: Sequence[int]) -> np.ndarray:
-    """Vector of set distances for every node; UNREACHABLE where none."""
-    if len(members) == 0:
-        return np.full(dm.n, UNREACHABLE, dtype=np.int64)
-    sub = dm.d[:, np.asarray(members, dtype=np.int64)]
-    big = np.iinfo(np.int64).max
-    masked = np.where(sub == UNREACHABLE, big, sub)
-    mins = masked.min(axis=1)
-    return np.where(mins == big, np.int64(UNREACHABLE), mins)
+    return int(closest_members(dm, members)[1][v])
 
 
 def bourgain_embed(dm: DistanceMatrix, fam: AnchorFamily) -> np.ndarray:
@@ -212,7 +216,7 @@ def bourgain_embed(dm: DistanceMatrix, fam: AnchorFamily) -> np.ndarray:
     for m, members in enumerate(fam.sets):
         if len(members) == 0:
             continue
-        dist = _set_distances(dm, members)
+        _, dist = closest_members(dm, members)
         if np.any(dist == UNREACHABLE):
             bad = int(np.flatnonzero(dist == UNREACHABLE)[0])
             raise DisconnectedGraphError(

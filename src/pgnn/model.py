@@ -5,10 +5,12 @@ state is concatenated with the member's state scaled by 1 / (hop count + 1),
 then pushed through a shared linear map and ReLU.  Keeping the distance
 weight inside the nonlinearity lets the message react to proximity even
 when input features are constant.  Per set the messages are either
-averaged over all members or taken from the single closest member.  The
-row-wise mean across sets becomes the next node state; the final layer
-additionally projects each set's aggregate onto a learned vector, giving
-one anchor-indexed output column per set.
+averaged over all members or taken from the single closest member, all of
+them rows of one flat table: a layer records the same tape ops for any
+number of sets, and mean aggregation holds O(n * total set size * r)
+floats.  The row-wise mean across sets becomes the next node state; the
+final layer also projects each set's aggregate onto a learned vector,
+giving one anchor-indexed output column per set.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .graph import Graph
 from .metric import (UNREACHABLE, AnchorFamily, DistanceMatrix, all_pairs,
-                     all_pairs_within)
+                     all_pairs_within, closest_members, similarity)
 from .tensor import ShapeError, Tape, Value
 
 VARIANTS = ("exact", "fast")
@@ -141,53 +143,34 @@ def make_distance_input(g: Graph, cfg: PGNNConfig) -> DistanceMatrix:
     return all_pairs_within(g, FAST_HOPS)
 
 
-def _closest_context(dm: DistanceMatrix, fam: AnchorFamily):
-    """Per set: (closest member per node, similarity column) or None if empty.
+def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
+    """One row per message, ordered (node, set in provenance order, member).
 
-    Distance ties break to the lowest node id; nodes that reach no member
-    keep themselves as a dummy index with similarity 0, which zeroes the
-    message exactly.
+    Closest mode keeps each (node, set)'s nearest member (ties to the lowest
+    id), mean mode every member; empty sets get no rows.  A member out of
+    reach becomes the node itself with similarity 0, zeroing that half.
+    Returns per row: the node and member rows of h, the member-half scale,
+    1 / (rows of its (node, set) pair) and the pair's index; then per pair
+    of a nonempty set, its slot node * k + set in Z.
     """
-    n = dm.n
-    own = np.arange(n, dtype=np.int64)
-    big = np.iinfo(np.int64).max
-    ctx = []
-    for members in fam.sets:
-        if len(members) == 0:
-            ctx.append(None)
-            continue
-        mem = np.asarray(members, dtype=np.int64)
-        sub = dm.d[:, mem]
-        masked = np.where(sub == UNREACHABLE, big, sub)
-        pos = masked.argmin(axis=1)
-        dmin = masked[own, pos]
-        reach = dmin != big
-        u_star = np.where(reach, mem[pos], own)
-        safe = np.where(reach, dmin, 0).astype(np.float64)
-        sim = np.where(reach, 1.0 / (safe + 1.0), 0.0).reshape(-1, 1)
-        ctx.append((u_star, sim))
-    return ctx
-
-
-def _full_context(dm: DistanceMatrix, fam: AnchorFamily):
-    """Per set: flattened (v, u) index pairs, similarities and the averaging map."""
-    n = dm.n
-    ctx = []
-    for members in fam.sets:
-        m = len(members)
-        if m == 0:
-            ctx.append(None)
-            continue
-        mem = np.asarray(members, dtype=np.int64)
-        v_idx = np.repeat(np.arange(n, dtype=np.int64), m)
-        u_idx = np.tile(mem, n)
-        d = dm.d[v_idx, u_idx]
-        reach = d != UNREACHABLE
-        safe = np.where(reach, d, 0).astype(np.float64)
-        sim = np.where(reach, 1.0 / (safe + 1.0), 0.0).reshape(-1, 1)
-        avg = np.kron(np.eye(n), np.full((1, m), 1.0 / m))
-        ctx.append((v_idx, u_idx, sim, avg))
-    return ctx
+    n, k = dm.n, fam.k
+    own = np.arange(n, dtype=np.int64)[:, None]
+    order = np.array(sorted(range(k), key=lambda m: (fam.provenance[m], m)))
+    columns = []
+    for m in order:
+        mem = np.asarray(fam.sets[m], dtype=np.int64)
+        if closest and mem.size:
+            columns.append(tuple(a[:, None] for a in closest_members(dm, mem)))
+        else:
+            columns.append((np.broadcast_to(mem, (n, mem.size)), dm.d[:, mem]))
+    widths = np.array([u.shape[1] for u, _ in columns])
+    u, d = (np.hstack(parts) for parts in zip(*columns))
+    return (np.repeat(own.ravel(), d.shape[1]),
+            np.where(d != UNREACHABLE, u, own).ravel(),
+            similarity(d).reshape(-1, 1),
+            np.tile(1.0 / np.repeat(widths, widths), n).reshape(-1, 1),
+            np.repeat(np.arange(n * np.count_nonzero(widths)), np.tile(widths[widths > 0], n)),
+            (own * k + order[widths > 0]).ravel())
 
 
 def _check_forward_args(g: Graph, dm: DistanceMatrix, fam: AnchorFamily) -> None:
@@ -204,65 +187,27 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
                  params: PGNNParams, cfg: PGNNConfig) -> Embeddings:
     """Run the L-layer position-aware forward pass on the given tape.
 
-    Z has one column per anchor set, in fam order (identity on the final
-    projection; intermediate-layer projections are never materialized).
-    The cross-set mean for H accumulates in provenance-sorted order, so
-    reordering fam.sets permutes Z's columns and leaves H bit-identical.
+    Z has one column per anchor set, in fam order.  The cross-set sum for H
+    adds the sets in provenance order, so reordering fam.sets permutes Z's
+    columns and leaves H bit-identical.
     """
     _check_forward_args(g, dm, fam)
     if len(params.layers) != cfg.layers:
         raise ShapeError(f"{len(params.layers)} layer params for layers={cfg.layers}")
-    n, k, r = g.n, fam.k, cfg.message_dim
-    if cfg.closest_node_agg:
-        ctx = _closest_context(dm, fam)
-    else:
-        ctx = _full_context(dm, fam)
-    order = sorted(range(k), key=lambda m: (fam.provenance[m], m))
-
-    zero_block = np.zeros((n, r))
-    mean_scale = np.full((n, 1), 1.0 / k)
-    leafed_ctx = []
-    for entry in ctx:
-        if entry is None:
-            leafed_ctx.append(None)
-        elif cfg.closest_node_agg:
-            u_star, sim = entry
-            leafed_ctx.append((u_star, tape.leaf(sim)))
-        else:
-            v_idx, u_idx, sim, avg = entry
-            leafed_ctx.append((v_idx, u_idx, tape.leaf(sim), tape.leaf(avg)))
-
+    n, k = g.n, fam.k
+    node, member, sim, weight, pair, slot = _message_table(dm, fam, cfg.closest_node_agg)
+    inv_k = np.full((n, 1), 1.0 / k)
     h = tape.leaf(g.features)
-    per_set: list[Value] = []
     for layer in params.layers:
-        w_msg = tape.leaf(layer.w_msg)
-        per_set = []
-        for entry in leafed_ctx:
-            if entry is None:
-                per_set.append(tape.leaf(zero_block))
-                continue
-            if cfg.closest_node_agg:
-                u_star, sim = entry
-                hu = tape.scale_rows(tape.gather_rows(h, u_star), sim)
-                cat = tape.concat_cols(h, hu)
-                per_set.append(tape.relu(tape.matmul(cat, w_msg)))
-            else:
-                v_idx, u_idx, sim, avg = entry
-                hv = tape.gather_rows(h, v_idx)
-                hu = tape.scale_rows(tape.gather_rows(h, u_idx), sim)
-                cat = tape.concat_cols(hv, hu)
-                msg = tape.relu(tape.matmul(cat, w_msg))
-                per_set.append(tape.matmul(avg, msg))
-        acc = per_set[order[0]]
-        for m in order[1:]:
-            acc = tape.add(acc, per_set[m])
-        h = tape.scale_rows(acc, tape.leaf(mean_scale))
-
-    w_out = tape.leaf(params.layers[-1].w)
-    z = tape.matmul(per_set[0], w_out)
-    for m in range(1, k):
-        z = tape.concat_cols(z, tape.matmul(per_set[m], w_out))
-    return Embeddings(z=z, h=h)
+        # leaf() memoizes by array: every layer shares one node per table column
+        hu = tape.scale_rows(tape.gather_rows(h, member), tape.leaf(sim))
+        msg = tape.relu(tape.matmul(tape.concat_cols(tape.gather_rows(h, node), hu),
+                                    tape.leaf(layer.w_msg)))
+        if not cfg.closest_node_agg:  # average each pair's rows into one
+            msg = tape.segment_sum(tape.scale_rows(msg, tape.leaf(weight)), pair, slot.size)
+        h = tape.scale_rows(tape.segment_sum(msg, slot // k, n), tape.leaf(inv_k))
+    z = tape.matmul(msg, tape.leaf(params.layers[-1].w))
+    return Embeddings(z=tape.reshape(tape.segment_sum(z, slot, n * k), n, k), h=h)
 
 
 def gcn_forward(tape: Tape, g: Graph, weights: list[np.ndarray],

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 
@@ -87,13 +88,31 @@ class Value:
 
 
 class _Node:
-    __slots__ = ("matrix", "parents", "backward", "is_leaf")
+    __slots__ = ("matrix", "parents", "backward")
 
-    def __init__(self, matrix, parents, backward, is_leaf):
+    def __init__(self, matrix, parents, backward):
         self.matrix = matrix
         self.parents = parents
         self.backward = backward
-        self.is_leaf = is_leaf
+
+
+def _row_index(idx, rows: int, op: str) -> np.ndarray:
+    ix = np.asarray(idx, dtype=np.int64)
+    if ix.ndim != 1:
+        raise ShapeError(f"{op}: index must be 1-d, got {ix.shape}")
+    if ix.size and (ix.min() < 0 or ix.max() >= rows):
+        raise ValueError(f"{op}: index out of range")
+    return ix
+
+
+def _scatter_rows(values: np.ndarray, ix: np.ndarray, rows: int) -> np.ndarray:
+    """out[ix[i]] += values[i] in increasing i, as ``np.add.at`` on zeros.
+
+    One CSR product with unit weights; scipy adds a row's entries in order.
+    """
+    scatter = csr_matrix((np.ones(ix.size), (ix, np.arange(ix.size))),
+                         shape=(rows, ix.size))
+    return scatter @ values
 
 
 class Tape:
@@ -101,15 +120,16 @@ class Tape:
 
     def __init__(self) -> None:
         self._nodes: list[_Node] = []
-        # memo pins the key array: id() values must stay unique while we live
-        self._leaf_memo: dict[int, tuple[np.ndarray, Value]] = {}
+        # memo pins the key array (id() values must stay unique while we live)
+        # and keeps node ids: a Value would make the tape wait for the cyclic GC
+        self._leaf_memo: dict[int, tuple[np.ndarray, int]] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def _record(self, matrix: Matrix, parents: tuple[int, ...],
-                backward: Callable | None, is_leaf: bool = False) -> Value:
-        self._nodes.append(_Node(matrix, parents, backward, is_leaf))
+                backward: Callable | None) -> Value:
+        self._nodes.append(_Node(matrix, parents, backward))
         return Value(self, len(self._nodes) - 1, matrix)
 
     def _own(self, *vals: Value) -> None:
@@ -129,11 +149,11 @@ class Tape:
         if isinstance(values, np.ndarray):
             memo = self._leaf_memo.get(id(values))
             if memo is not None:
-                return memo[1]
-            out = self._record(Matrix(values), (), None, is_leaf=True)
-            self._leaf_memo[id(values)] = (values, out)
+                return Value(self, memo[1], self._nodes[memo[1]].matrix)
+            out = self._record(Matrix(values), (), None)
+            self._leaf_memo[id(values)] = (values, out.id)
             return out
-        return self._record(Matrix(values), (), None, is_leaf=True)
+        return self._record(Matrix(values), (), None)
 
     # ------------------------------------------------------------------
     # ops
@@ -158,16 +178,6 @@ class Tape:
             return g, g
 
         return self._record(Matrix._wrap(a.data + b.data), (a.id, b.id), back)
-
-    def sub(self, a: Value, b: Value) -> Value:
-        self._own(a, b)
-        if a.shape != b.shape:
-            raise ShapeError(f"sub: {a.shape} vs {b.shape}")
-
-        def back(g):
-            return g, -g
-
-        return self._record(Matrix._wrap(a.data - b.data), (a.id, b.id), back)
 
     def hadamard(self, a: Value, b: Value) -> Value:
         self._own(a, b)
@@ -207,10 +217,10 @@ class Tape:
     def row_mean(self, a: Value) -> Value:
         """Mean over rows, returning a 1 x cols row vector."""
         self._own(a)
-        rows = a.shape[0]
+        shape = a.shape
 
         def back(g):
-            return (np.broadcast_to(g / rows, a.shape).copy(),)
+            return (np.broadcast_to(g / shape[0], shape).copy(),)
 
         return self._record(Matrix._wrap(a.data.mean(axis=0, keepdims=True)),
                             (a.id,), back)
@@ -221,19 +231,41 @@ class Tape:
         The index vector is data, not a differentiable input.
         """
         self._own(a)
-        ix = np.asarray(idx, dtype=np.int64)
-        if ix.ndim != 1:
-            raise ShapeError(f"gather_rows: index must be 1-d, got {ix.shape}")
-        if ix.size and (ix.min() < 0 or ix.max() >= a.shape[0]):
-            raise ValueError("gather_rows: index out of range")
+        rows = a.shape[0]
+        ix = _row_index(idx, rows, "gather_rows")
+
+        def back(g):
+            return (_scatter_rows(g, ix, rows),)
+
+        return self._record(Matrix._wrap(a.data[ix]), (a.id,), back)
+
+    def segment_sum(self, a: Value, idx, rows: int) -> Value:
+        """Add row i of ``a`` into row ``idx[i]`` of a ``rows``-row output.
+
+        The adjoint of :meth:`gather_rows`; rows no index names stay zero.
+        """
+        self._own(a)
+        ix = _row_index(idx, rows, "segment_sum")
+        if ix.size != a.shape[0]:
+            raise ShapeError(f"segment_sum: {ix.size} indices for {a.shape[0]} rows")
+
+        def back(g):
+            return (g[ix],)
+
+        return self._record(Matrix._wrap(_scatter_rows(a.data, ix, rows)),
+                            (a.id,), back)
+
+    def reshape(self, a: Value, rows: int, cols: int) -> Value:
+        """The entries of ``a`` in row-major order as a rows x cols matrix."""
+        self._own(a)
+        if rows * cols != a.shape[0] * a.shape[1]:
+            raise ShapeError(f"reshape: {a.shape} to ({rows}, {cols})")
         shape = a.shape
 
         def back(g):
-            ga = np.zeros(shape)
-            np.add.at(ga, ix, g)
-            return (ga,)
+            return (g.reshape(shape),)
 
-        return self._record(Matrix._wrap(a.data[ix]), (a.id,), back)
+        return self._record(Matrix._wrap(a.data.reshape(rows, cols)), (a.id,), back)
 
     def relu(self, a: Value) -> Value:
         self._own(a)
@@ -243,15 +275,6 @@ class Tape:
             return (g * (ad > 0.0),)
 
         return self._record(Matrix._wrap(np.maximum(ad, 0.0)), (a.id,), back)
-
-    def sigmoid(self, a: Value) -> Value:
-        self._own(a)
-        out = expit(a.data)
-
-        def back(g):
-            return (g * out * (1.0 - out),)
-
-        return self._record(Matrix._wrap(out), (a.id,), back)
 
     def bce_with_logits(self, logits: Value, targets) -> Value:
         """Mean binary cross-entropy over a column of logits.

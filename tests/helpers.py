@@ -70,3 +70,42 @@ def numeric_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return float((np.abs(a - b) / denom).max())
+
+
+def reference_pgnn_forward(g: Graph, dm, fam, params, closest: bool):
+    """Per-set position-aware forward in plain numpy; returns (Z, H).
+
+    One (n, r) message block per anchor set and layer: closest mode picks
+    each node's nearest member (ties to the lowest id, nodes out of reach
+    use themselves with similarity 0), mean mode averages over all members,
+    an empty set's block is zero.  The blocks are added in provenance order
+    and scaled by 1/k.
+    """
+    n, k = g.n, fam.k
+    own = np.arange(n)
+    order = sorted(range(k), key=lambda m: (fam.provenance[m], m))
+    h = np.asarray(g.features, dtype=np.float64)
+    for layer in params.layers:
+        blocks = []
+        for members in fam.sets:
+            mem = np.array(members, dtype=np.int64)
+            if mem.size == 0:
+                blocks.append(np.zeros((n, layer.w_msg.shape[1])))
+                continue
+            hops = dm.d[:, mem].astype(np.float64)
+            hops[dm.d[:, mem] < 0] = np.inf
+            if closest:
+                pos = hops.argmin(axis=1)
+                best = hops[own, pos]
+                choices = [(np.where(np.isfinite(best), mem[pos], own), best)]
+            else:
+                choices = [(np.full(n, u), hops[:, j]) for j, u in enumerate(mem)]
+            msgs = [np.maximum(np.hstack([h, (1.0 / (d + 1.0))[:, None] * h[u]])
+                               @ layer.w_msg, 0.0) for u, d in choices]
+            blocks.append(msgs[0] if closest else np.mean(msgs, axis=0))
+        acc = blocks[order[0]]
+        for m in order[1:]:
+            acc = acc + blocks[m]
+        h = acc * (1.0 / k)
+    z = np.hstack([block @ params.layers[-1].w for block in blocks])
+    return z, h

@@ -171,23 +171,28 @@ def _op_cases(rng):
     # straddle the non-smooth point and measure nothing useful
     r = rng.standard_normal((m, n))
     r = np.where(np.abs(r) < 0.05, 0.05 + np.abs(r), r)
+    seg = rng.integers(0, 3, size=m)
     return [
         case("matmul", [a, b], lambda t, v: t.matmul(v[0], v[1])),
         case("add", [a, c], lambda t, v: t.add(v[0], v[1])),
-        case("sub", [a, c], lambda t, v: t.sub(v[0], v[1])),
         case("hadamard", [a, c], lambda t, v: t.hadamard(v[0], v[1])),
         case("scale_rows", [a, s], lambda t, v: t.scale_rows(v[0], v[1])),
         case("concat_cols", [a, c], lambda t, v: t.concat_cols(v[0], v[1])),
         case("row_mean", [a], lambda t, v: t.row_mean(v[0])),
         case("gather_rows", [a], lambda t, v: t.gather_rows(v[0], idx)),
+        case("segment_sum", [a], lambda t, v: t.segment_sum(v[0], seg, 3)),
+        case("reshape", [a], lambda t, v: t.reshape(v[0], n, m)),
         case("relu", [r], lambda t, v: t.relu(v[0])),
-        case("sigmoid", [a], lambda t, v: t.sigmoid(v[0])),
         case("bce_with_logits", [logits],
              lambda t, v: t.bce_with_logits(v[0], targets)),
     ]
 
 
 def test_05_gradients_match_finite_differences():
+    # every public op on the tape has a case: no op goes without a check
+    tape_ops = {name for name, attr in vars(Tape).items()
+                if callable(attr) and not name.startswith("_")} - {"leaf", "backward"}
+    assert {name for name, _, _ in _op_cases(np.random.default_rng(0))} == tape_ops
     worst = 0.0
     op_instances = 0
     for instance in range(20):

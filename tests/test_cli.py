@@ -152,6 +152,25 @@ def test_unknown_config_keys_fail_fast(tmp_path, capsys):
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 1
         assert field in capsys.readouterr().err
 
+    cfg = write_config(tmp_path / "cfg.json",
+                       dataset={"kind": "grid", "rows": 0, "cols": 6})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 1
+    assert "dataset.rows" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_model_other_than_the_checkpoints(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json",
+                       model={"kind": "gcn", "layers": 2, "message_dim": 8})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
+    other = write_config(tmp_path / "other.json",
+                         model={"kind": "pgnn", "layers": 3, "message_dim": 4})
+    epath = tmp_path / "e.json"
+    assert main(["eval", "--config", other, "--checkpoint", str(tmp_path / "m.ckpt"),
+                 "--out", str(epath)]) == 1
+    err = capsys.readouterr().err
+    assert "pgnn-e-3l" in err and "gcn-2l" in err
+    assert not epath.exists()
+
 
 def test_config_file_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
@@ -163,11 +182,22 @@ def test_config_file_errors(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-def test_bad_arguments_exit_with_config_error(capsys):
+def test_bad_arguments_exit_with_config_error(monkeypatch, capsys):
     assert main(["train"]) == 1
     assert main(["no-such-command"]) == 1
     assert main(["generate", "grid", "two", "2", "--out", "x"]) == 1
     capsys.readouterr()
+
+    def no_build(*args):
+        raise AssertionError("graph built before the dataset was checked")
+
+    monkeypatch.setattr(cli, "grid_graph", no_build)
+    monkeypatch.setattr(cli, "connected_caveman", no_build)
+    for argv, field in ((["generate", "grid", "0", "5", "--out", "x"], "dataset.rows"),
+                        (["distortion", "grid", "1", "1"], "dataset.rows x dataset.cols"),
+                        (["distortion", "communities", "1", "5", "0.1"], "dataset.n_comm")):
+        assert main(argv) == 1
+        assert field in capsys.readouterr().err
 
 
 def test_distortion_report_on_grid(tmp_path, capsys):

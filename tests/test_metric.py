@@ -14,6 +14,7 @@ from pgnn.metric import (
     anchor_family_size,
     bfs_from,
     bourgain_embed,
+    closest_members,
     measure_distortion,
     sample_anchor_family,
     set_distance,
@@ -115,8 +116,12 @@ def test_similarity_values():
     assert similarity(1) == 0.5
     assert similarity(3) == 0.25
     assert similarity(UNREACHABLE) == 0.0
+    assert np.array_equal(similarity(np.array([[0, UNREACHABLE], [1, 3]])),
+                          [[1.0, 0.0], [0.5, 0.25]])
     with pytest.raises(ValueError):
         similarity(-2)
+    with pytest.raises(ValueError):
+        similarity(np.array([0, -2]))
 
 
 def test_anchor_family_size_formula():
@@ -183,6 +188,20 @@ def test_set_distance_minimum_and_corner_cases():
     assert set_distance(disc, 0, [1, 3]) == 1
     with pytest.raises(ValueError):
         set_distance(dm, 7, [0])
+
+
+def test_closest_members_break_ties_low_and_mark_unreachable():
+    # path 0-1-2-3-4 plus an isolated node 5
+    dm = all_pairs(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+    member, hops = closest_members(dm, [1, 3, 5])
+    # node 2 is one hop from both 1 and 3 and takes the lower id
+    assert member.tolist() == [1, 1, 1, 3, 3, 5]
+    assert hops.tolist() == [1, 0, 1, 0, 1, 0]
+    member, hops = closest_members(dm, [4])
+    assert member.tolist() == [4, 4, 4, 4, 4, UNREACHABLE]
+    assert hops.tolist() == [4, 3, 2, 1, 0, UNREACHABLE]
+    for out in closest_members(dm, []):
+        assert out.tolist() == [UNREACHABLE] * 6
 
 
 def test_bourgain_embedding_coordinates_by_hand():

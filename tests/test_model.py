@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pgnn.graph import Graph, constant_features
+from pgnn.graph import Graph, connected_caveman, constant_features, grid_graph
 from pgnn.metric import AnchorFamily, all_pairs, sample_anchor_family, truncate
 from pgnn.model import (
     GCNConfig,
@@ -18,7 +18,8 @@ from pgnn.model import (
 from pgnn.tensor import ShapeError, Tape
 from pgnn.train import epoch_loss
 
-from helpers import max_rel_err, numeric_grad, random_connected_graph
+from helpers import (max_rel_err, numeric_grad, random_connected_graph,
+                     reference_pgnn_forward)
 
 
 def path_graph(n):
@@ -175,6 +176,83 @@ def test_reordering_anchor_sets_permutes_z_and_preserves_h():
     assert np.array_equal(h1, h2)
     for new_col, old_col in enumerate(perm):
         assert np.array_equal(z2[:, new_col], z1[:, old_col])
+
+
+def _shuffled(fam, seed):
+    perm = np.random.default_rng(seed).permutation(fam.k)
+    return AnchorFamily(sets=tuple(fam.sets[m] for m in perm),
+                        provenance=tuple(fam.provenance[m] for m in perm),
+                        c=fam.c, seed=fam.seed)
+
+
+def _reference_cases(closest):
+    """(name, graph, family, config) covering the shapes the forward meets."""
+    rng = np.random.default_rng(11)
+    feats = lambda g, d: Graph(n=g.n, adjacency=g.adjacency,
+                               features=rng.standard_normal((g.n, d)))
+    cave = connected_caveman(8, 8, 0.1, seed=3)
+    # three components, one of them an isolated node
+    split = feats(Graph.from_edges(12, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7),
+                                        (7, 8), (8, 9), (10, 11)]), 2)
+    holes = AnchorFamily(sets=((0, 2), (), (4, 9), (), (1, 3, 5), (11,)),
+                         provenance=((2, 1), (1, 1), (1, 2), (3, 3), (1, 1), (2, 2)),
+                         c=1.0, seed=0)
+    walk = feats(random_connected_graph(30, rng, extra_edges=6), 3)
+    cases = [
+        ("caveman", constant_features(cave), sample_anchor_family(64, 1.0, 4),
+         dict(layers=2, message_dim=8)),
+        ("caveman fast", feats(cave, 2), sample_anchor_family(64, 1.0, 5),
+         dict(layers=2, message_dim=8, variant="fast")),
+        ("disconnected", split, sample_anchor_family(12, 1.5, 3),
+         dict(layers=2, message_dim=4)),
+        ("disconnected fast, empty sets, shuffled", split, _shuffled(holes, 1),
+         dict(layers=3, message_dim=4, variant="fast")),
+        ("1 layer", walk, sample_anchor_family(30, 1.0, 6), dict(layers=1, message_dim=5)),
+        ("3 layers shuffled", walk, _shuffled(sample_anchor_family(30, 2.0, 7), 2),
+         dict(layers=3, message_dim=6)),
+    ]
+    if closest:
+        cases.append(("grid k=162", constant_features(grid_graph(20, 20)),
+                      sample_anchor_family(400, 2.0, 0),
+                      dict(layers=2, message_dim=16, anchor_c=2.0)))
+    for name, g, fam, kw in cases:
+        yield name, g, fam, PGNNConfig(closest_node_agg=closest, **kw)
+
+
+@pytest.mark.parametrize("closest", [True, False])
+def test_forward_matches_per_set_reference(closest):
+    for name, g, fam, cfg in _reference_cases(closest):
+        params = init_pgnn_params(g.features.shape[1], cfg, np.random.default_rng(8))
+        z, h = forward_embeddings(g, fam, params, cfg)
+        z_ref, h_ref = reference_pgnn_forward(g, make_distance_input(g, cfg), fam,
+                                              params, closest)
+        if closest:
+            assert np.array_equal(z, z_ref), name
+            assert np.array_equal(h, h_ref), name
+        else:
+            # member sums are added in another order; Z's final dot product
+            # with the mixed-sign w may cancel, so its tolerance is relative
+            # to the largest entry
+            np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=0, err_msg=name)
+            np.testing.assert_allclose(z, z_ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(z_ref).max(), err_msg=name)
+
+
+@pytest.mark.parametrize("closest", [True, False])
+def test_tape_nodes_per_forward_do_not_depend_on_k(closest):
+    g = constant_features(connected_caveman(8, 8, 0.1, seed=1))
+    cfg = PGNNConfig(layers=2, message_dim=4, closest_node_agg=closest)
+    params = init_pgnn_params(1, cfg, np.random.default_rng(0))
+    dm = make_distance_input(g, cfg)
+    nodes = []
+    for k in (1, 40):
+        fam = AnchorFamily(sets=tuple((m, m + 20) for m in range(k)),
+                           provenance=tuple((1, m + 1) for m in range(k)),
+                           c=1.0, seed=0)
+        tape = Tape()
+        pgnn_forward(tape, g, dm, fam, params, cfg)
+        nodes.append(len(tape))
+    assert nodes[0] == nodes[1]
 
 
 def test_closest_and_mean_aggregation_agree_on_singleton_sets():
