@@ -26,9 +26,9 @@ class DisconnectedGraphError(ValueError):
     """An operation that needs a connected graph saw unreachable pairs."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """Symmetric matrix of pairwise hop counts with UNREACHABLE sentinels."""
+    """Symmetric read-only hop counts, UNREACHABLE sentinels; hashed by identity."""
 
     d: np.ndarray
 

@@ -5,18 +5,21 @@ state is concatenated with the member's state scaled by 1 / (hop count + 1),
 then pushed through a shared linear map and ReLU.  Keeping the distance
 weight inside the nonlinearity lets the message react to proximity even
 when input features are constant.  Per set the messages are either
-averaged over all members or taken from the single closest member, all of
-them rows of one flat table: a layer records the same tape ops for any
-number of sets, and mean aggregation holds O(n * total set size * r)
-floats.  The row-wise mean across sets becomes the next node state; the
-final layer also projects each set's aggregate onto a learned vector,
-giving one anchor-indexed output column per set.
+averaged over all members or taken from the single closest member.  A
+message depends only on its node and member, so a layer computes each
+distinct one once (at most n^2 + n rows) and gathers it into a flat table
+of (node, set, member) slots, built once per anchor family: the tape ops
+are the same for any number of sets, and mean aggregation holds
+O(n * total set size * r) floats.  The row-wise mean across sets becomes
+the next node state; the final layer also projects each set's aggregate
+onto a learned vector, giving one anchor-indexed output column per set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,15 +146,17 @@ def make_distance_input(g: Graph, cfg: PGNNConfig) -> DistanceMatrix:
     return all_pairs_within(g, FAST_HOPS)
 
 
+@lru_cache(maxsize=1)
 def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
-    """One row per message, ordered (node, set in provenance order, member).
+    """Messages of every (node, set in provenance order, member) slot.
 
     Closest mode keeps each (node, set)'s nearest member (ties to the lowest
-    id), mean mode every member; empty sets get no rows.  A member out of
+    id), mean mode every member; empty sets get no slots.  A member out of
     reach becomes the node itself with similarity 0, zeroing that half.
-    Returns per row: the node and member rows of h, the member-half scale,
-    1 / (rows of its (node, set) pair) and the pair's index; then per pair
-    of a nonempty set, its slot node * k + set in Z.
+    Per distinct (node, member, reachable) message: its node and member rows
+    of h and member-half scale; per slot: its message row, 1 / (slots of its
+    (node, set) pair) and the pair's index; per pair of a nonempty set, its
+    slot node * k + set in Z.  Memoized on the last call, dm by identity.
     """
     n, k = dm.n, fam.k
     own = np.arange(n, dtype=np.int64)[:, None]
@@ -165,12 +170,16 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
             columns.append((np.broadcast_to(mem, (n, mem.size)), dm.d[:, mem]))
     widths = np.array([u.shape[1] for u, _ in columns])
     u, d = (np.hstack(parts) for parts in zip(*columns))
-    return (np.repeat(own.ravel(), d.shape[1]),
-            np.where(d != UNREACHABLE, u, own).ravel(),
-            similarity(d).reshape(-1, 1),
-            np.tile(1.0 / np.repeat(widths, widths), n).reshape(-1, 1),
-            np.repeat(np.arange(n * np.count_nonzero(widths)), np.tile(widths[widths > 0], n)),
-            (own * k + order[widths > 0]).ravel())
+    key = 2 * (own * n + np.where(d != UNREACHABLE, u, own)) + (d != UNREACHABLE)
+    key, first, row = np.unique(key, return_index=True, return_inverse=True)
+    out = (key // 2 // n, key // 2 % n, similarity(d.ravel()[first]).reshape(-1, 1),
+           row.ravel(),
+           np.tile(1.0 / np.repeat(widths, widths), n).reshape(-1, 1),
+           np.repeat(np.arange(n * np.count_nonzero(widths)), np.tile(widths[widths > 0], n)),
+           (own * k + order[widths > 0]).ravel())
+    for a in out:  # every caller of the memo shares these arrays
+        a.setflags(write=False)
+    return out
 
 
 def _check_forward_args(g: Graph, dm: DistanceMatrix, fam: AnchorFamily) -> None:
@@ -195,7 +204,7 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
     if len(params.layers) != cfg.layers:
         raise ShapeError(f"{len(params.layers)} layer params for layers={cfg.layers}")
     n, k = g.n, fam.k
-    node, member, sim, weight, pair, slot = _message_table(dm, fam, cfg.closest_node_agg)
+    node, member, sim, row, weight, pair, slot = _message_table(dm, fam, cfg.closest_node_agg)
     inv_k = np.full((n, 1), 1.0 / k)
     h = tape.leaf(g.features)
     for layer in params.layers:
@@ -203,6 +212,7 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
         hu = tape.scale_rows(tape.gather_rows(h, member), tape.leaf(sim))
         msg = tape.relu(tape.matmul(tape.concat_cols(tape.gather_rows(h, node), hu),
                                     tape.leaf(layer.w_msg)))
+        msg = tape.gather_rows(msg, row)  # each distinct message into its slots
         if not cfg.closest_node_agg:  # average each pair's rows into one
             msg = tape.segment_sum(tape.scale_rows(msg, tape.leaf(weight)), pair, slot.size)
         h = tape.scale_rows(tape.segment_sum(msg, slot // k, n), tape.leaf(inv_k))
@@ -223,28 +233,18 @@ def gcn_forward(tape: Tape, g: Graph, weights: list[np.ndarray],
     if len(weights) != layers:
         raise ShapeError(f"{len(weights)} weight matrices for layers={layers}")
     n = g.n
-    # One gather per neighbor position instead of a dense mixing matmul:
-    # element-wise adds keep structurally equivalent nodes bit-identical,
-    # which a BLAS row reduction does not guarantee.  Ragged adjacency is
-    # padded with the node itself at weight zero.
-    max_deg = max((len(nbrs) for nbrs in g.adjacency), default=0)
-    position_idx = []
-    position_w = []
-    for j in range(max_deg):
-        position_idx.append(np.array(
-            [nbrs[j] if j < len(nbrs) else v
-             for v, nbrs in enumerate(g.adjacency)], dtype=np.int64))
-        position_w.append(tape.leaf(np.array(
-            [[0.5 / n if j < len(nbrs) else 0.0] for nbrs in g.adjacency])))
-    self_w = tape.leaf(np.full((n, 1), 1.0 / n))
+    # One row per (node, itself then each neighbor in adjacency order), summed
+    # in that order: unlike a mixing matmul, keeps mirror nodes bit-identical.
+    size = np.array([1 + len(nbrs) for nbrs in g.adjacency])
+    source = np.array([u for v, nbrs in enumerate(g.adjacency) for u in (v, *nbrs)])
+    scale = np.full((source.size, 1), 0.5 / n)
+    scale[np.cumsum(size) - size] = 1.0 / n
+    owner = np.repeat(np.arange(n), size)
     h = tape.leaf(g.features)
     for w in weights:
         msg = tape.relu(tape.matmul(h, tape.leaf(w)))
-        acc = tape.scale_rows(msg, self_w)
-        for j in range(max_deg):
-            acc = tape.add(acc, tape.scale_rows(
-                tape.gather_rows(msg, position_idx[j]), position_w[j]))
-        h = acc
+        rows = tape.scale_rows(tape.gather_rows(msg, source), tape.leaf(scale))
+        h = tape.segment_sum(rows, owner, n)
     return h
 
 

@@ -109,3 +109,24 @@ def reference_pgnn_forward(g: Graph, dm, fam, params, closest: bool):
         h = acc * (1.0 / k)
     z = np.hstack([block @ params.layers[-1].w for block in blocks])
     return z, h
+
+
+def reference_gcn_forward(g: Graph, weights):
+    """Mean-pool baseline in plain numpy: one add per neighbor position.
+
+    Per layer, h_v <- relu(h_v W) / n, then for j = 0, 1, ... the j-th
+    neighbor's relu(h_u W) * 0.5 / n is added; nodes with fewer neighbors
+    add a zero row at that position.
+    """
+    n = g.n
+    max_deg = max((len(nbrs) for nbrs in g.adjacency), default=0)
+    h = np.asarray(g.features, dtype=np.float64)
+    for w in weights:
+        msg = np.maximum(h @ w, 0.0)
+        acc = msg * np.full((n, 1), 1.0 / n)
+        for j in range(max_deg):
+            idx = [nbrs[j] if j < len(nbrs) else v for v, nbrs in enumerate(g.adjacency)]
+            scale = [[0.5 / n if j < len(nbrs) else 0.0] for nbrs in g.adjacency]
+            acc = acc + msg[idx] * np.array(scale)
+        h = acc
+    return h

@@ -15,6 +15,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pgnn
 from pgnn.graph import Graph, connected_caveman, constant_features, grid_graph, split_pairs
@@ -54,6 +55,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+@pytest.mark.slow
 def test_01_communities_classification_contrast():
     g = connected_caveman(20, 20, 0.01, seed=0)
     split = split_pairs(g, "pairwise_node_classification", 0.1, 0.1, seed=0)
@@ -74,6 +76,7 @@ def test_01_communities_classification_contrast():
             f"gap {gap:.4f} (need >= 0.15), {elapsed:.0f}s (need < 600)")
 
 
+@pytest.mark.slow
 def test_02_grid_link_prediction_contrast():
     g = constant_features(grid_graph(20, 20))
     split = split_pairs(g, "link_prediction", 0.1, 0.1, seed=0)

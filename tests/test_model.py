@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pgnn.graph import Graph, connected_caveman, constant_features, grid_graph
-from pgnn.metric import AnchorFamily, all_pairs, sample_anchor_family, truncate
+from pgnn.metric import (UNREACHABLE, AnchorFamily, all_pairs, closest_members,
+                         sample_anchor_family, truncate)
 from pgnn.model import (
     GCNConfig,
     PGNNConfig,
@@ -19,7 +20,7 @@ from pgnn.tensor import ShapeError, Tape
 from pgnn.train import epoch_loss
 
 from helpers import (max_rel_err, numeric_grad, random_connected_graph,
-                     reference_pgnn_forward)
+                     reference_gcn_forward, reference_pgnn_forward)
 
 
 def path_graph(n):
@@ -255,6 +256,80 @@ def test_tape_nodes_per_forward_do_not_depend_on_k(closest):
     assert nodes[0] == nodes[1]
 
 
+def _assert_matches_reference(g, dm, fam, params, cfg, label):
+    emb = pgnn_forward(Tape(), g, dm, fam, params, cfg)
+    z_ref, h_ref = reference_pgnn_forward(g, dm, fam, params, cfg.closest_node_agg)
+    if cfg.closest_node_agg:
+        assert np.array_equal(emb.z.data, z_ref), label
+        assert np.array_equal(emb.h.data, h_ref), label
+    else:
+        np.testing.assert_allclose(emb.h.data, h_ref, rtol=1e-12, atol=0, err_msg=label)
+        np.testing.assert_allclose(emb.z.data, z_ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(z_ref).max(), err_msg=label)
+
+
+def test_message_table_memo_follows_its_inputs():
+    """Each call in turn changes one input the cached table depends on."""
+    rng = np.random.default_rng(5)
+    g = random_connected_graph(16, rng, extra_edges=4)
+    g = Graph(n=g.n, adjacency=g.adjacency, features=rng.standard_normal((16, 2)))
+    closest = PGNNConfig(layers=2, message_dim=4)
+    mean = PGNNConfig(layers=2, message_dim=4, closest_node_agg=False)
+    params = init_pgnn_params(2, closest, np.random.default_rng(6))
+    dm = all_pairs(g)
+    fam_a = sample_anchor_family(16, 1.0, seed=1)
+    fam_b = sample_anchor_family(16, 1.0, seed=2)
+    for label, dist, fam, cfg in (("A", dm, fam_a, closest), ("B", dm, fam_b, closest),
+                                  ("A mean", dm, fam_a, mean),
+                                  ("A one hop", truncate(dm, 1), fam_a, closest),
+                                  ("A again", dm, fam_a, closest)):
+        _assert_matches_reference(g, dist, fam, params, cfg, label)
+
+
+def _distinct_messages(dm, fam, closest):
+    """(node, member, reachable) triples of every message, from closest_members."""
+    triples = set()
+    for members in fam.sets:
+        if not members:
+            continue
+        if closest:
+            choices = [closest_members(dm, members)[0]]
+        else:
+            choices = [np.where(dm.d[:, u] != UNREACHABLE, u, UNREACHABLE) for u in members]
+        for chosen in choices:
+            triples.update((v, v if u == UNREACHABLE else int(u), u != UNREACHABLE)
+                           for v, u in enumerate(chosen))
+    return len(triples)
+
+
+@pytest.mark.parametrize("closest", [True, False])
+def test_each_distinct_message_is_computed_once(closest, monkeypatch):
+    g = constant_features(connected_caveman(6, 6, 0.1, seed=2))
+    cfg = PGNNConfig(layers=2, message_dim=4, variant="fast", closest_node_agg=closest)
+    params = init_pgnn_params(1, cfg, np.random.default_rng(0))
+    dm = make_distance_input(g, cfg)
+    fam = sample_anchor_family(g.n, 1.0, seed=3)
+    # every set twice, each copy under its own provenance
+    twice = AnchorFamily(sets=fam.sets * 2,
+                         provenance=fam.provenance + tuple((i, j + 100)
+                                                           for i, j in fam.provenance),
+                         c=fam.c, seed=fam.seed)
+    rows = []
+    matmul = Tape.matmul
+
+    def counting(tape, a, b):
+        out = matmul(tape, a, b)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(Tape, "matmul", counting)
+    pgnn_forward(Tape(), g, dm, fam, params, cfg)
+    z = pgnn_forward(Tape(), g, dm, twice, params, cfg).z.data
+    # rows[0] and rows[3]: the first layer's message matmul of each forward
+    assert rows[0] == rows[3] == _distinct_messages(dm, fam, closest)
+    assert np.array_equal(z[:, :fam.k], z[:, fam.k:])
+
+
 def test_closest_and_mean_aggregation_agree_on_singleton_sets():
     rng = np.random.default_rng(7)
     g = random_connected_graph(10, rng, extra_edges=3)
@@ -308,6 +383,19 @@ def test_five_path_symmetry_dichotomy():
     params = init_pgnn_params(1, cfg, np.random.default_rng(0))
     z, _ = forward_embeddings(g, fam, params, cfg)
     assert np.abs(z[0] - z[4]).max() > 1e-6
+
+
+def test_gcn_matches_neighbor_position_reference():
+    rng = np.random.default_rng(13)
+    tree = random_connected_graph(11, rng, extra_edges=7)
+    g = Graph.from_edges(12, tree.edges())  # node 11 is isolated
+    g = Graph(n=g.n, adjacency=g.adjacency, features=rng.standard_normal((12, 3)))
+    degrees = [len(nbrs) for nbrs in g.adjacency]
+    assert degrees[11] == 0 and max(degrees) >= 3
+    weights = init_gcn_params(3, GCNConfig(layers=3, message_dim=4),
+                              np.random.default_rng(4))
+    out = gcn_forward(Tape(), g, weights, layers=3).data
+    assert np.array_equal(out, reference_gcn_forward(g, weights))
 
 
 def test_gcn_hand_oracle_on_triangle():
