@@ -82,11 +82,7 @@ class PGNNParams:
     layers: list[PGNNLayerParams] = field(default_factory=list)
 
     def as_list(self) -> list[np.ndarray]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.w_msg)
-            out.append(layer.w)
-        return out
+        return [a for layer in self.layers for a in (layer.w_msg, layer.w)]
 
     @classmethod
     def from_list(cls, arrays: list[np.ndarray]) -> "PGNNParams":
@@ -156,7 +152,8 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
     Per distinct (node, member, reachable) message: its node and member rows
     of h and member-half scale; per slot: its message row, 1 / (slots of its
     (node, set) pair) and the pair's index; per pair of a nonempty set, its
-    slot node * k + set in Z.  Memoized on the last call, dm by identity.
+    slot node * k + set in Z.  Memoized on the last call (dm by identity);
+    the memo keeps that call's dm and table alive until the next call.
     """
     n, k = dm.n, fam.k
     own = np.arange(n, dtype=np.int64)[:, None]
@@ -233,18 +230,20 @@ def gcn_forward(tape: Tape, g: Graph, weights: list[np.ndarray],
     if len(weights) != layers:
         raise ShapeError(f"{len(weights)} weight matrices for layers={layers}")
     n = g.n
-    # One row per (node, itself then each neighbor in adjacency order), summed
-    # in that order: unlike a mixing matmul, keeps mirror nodes bit-identical.
-    size = np.array([1 + len(nbrs) for nbrs in g.adjacency])
-    source = np.array([u for v, nbrs in enumerate(g.adjacency) for u in (v, *nbrs)])
-    scale = np.full((source.size, 1), 0.5 / n)
-    scale[np.cumsum(size) - size] = 1.0 / n
-    owner = np.repeat(np.arange(n), size)
+    # One gather per neighbor position, added in adjacency order (a node past
+    # its degree gathers itself at weight 0): keeps mirror nodes bit-identical.
+    width = max(map(len, g.adjacency), default=0)
+    position = np.array([[a[j] if j < len(a) else v for v, a in enumerate(g.adjacency)]
+                         for j in range(width)], dtype=np.int64).reshape(width, n)
+    position_w = [tape.leaf(np.where(idx != np.arange(n), 0.5 / n, 0.0)[:, None])
+                  for idx in position]
+    self_w = tape.leaf(np.full((n, 1), 1.0 / n))
     h = tape.leaf(g.features)
     for w in weights:
         msg = tape.relu(tape.matmul(h, tape.leaf(w)))
-        rows = tape.scale_rows(tape.gather_rows(msg, source), tape.leaf(scale))
-        h = tape.segment_sum(rows, owner, n)
+        h = tape.scale_rows(msg, self_w)
+        for idx, idx_w in zip(position, position_w):
+            h = tape.add(h, tape.scale_rows(tape.gather_rows(msg, idx), idx_w))
     return h
 
 
