@@ -158,6 +158,90 @@ def test_unknown_config_keys_fail_fast(tmp_path, capsys):
     assert "dataset.rows" in capsys.readouterr().err
 
 
+_DROP = object()
+
+# (id, config overrides or a whole non-object root, exact stderr message);
+# _DROP removes a root key
+_BAD_CONFIGS = [
+    ("root-not-object", [], "config root must be a JSON object"),
+    ("missing-task", {"task": _DROP}, "missing config key: task"),
+    ("missing-dataset", {"dataset": _DROP}, "missing config key: dataset"),
+    ("missing-model", {"model": _DROP}, "missing config key: model"),
+    ("missing-dataset-kind", {"dataset": {"rows": 6, "cols": 6}},
+     "missing config key: dataset.kind"),
+    ("missing-grid-rows", {"dataset": {"kind": "grid", "cols": 6}},
+     "missing config key: dataset.rows"),
+    ("missing-n-comm", {"dataset": {"kind": "communities", "comm_size": 6}},
+     "missing config key: dataset.n_comm"),
+    ("missing-path", {"dataset": {"kind": "edge_list"}}, "missing config key: dataset.path"),
+    ("missing-model-kind", {"model": {"layers": 2}}, "missing config key: model.kind"),
+    ("unknown-root", {"extra": 1}, "unknown config key: extra"),
+    ("unknown-grid", {"dataset": {"kind": "grid", "rows": 6, "cols": 6, "seed": 0}},
+     "unknown config key: dataset.seed"),
+    ("unknown-communities",
+     {"dataset": {"kind": "communities", "n_comm": 3, "comm_size": 4, "rows": 1}},
+     "unknown config key: dataset.rows"),
+    ("unknown-edge-list", {"dataset": {"kind": "edge_list", "path": "x.edges", "seed": 0}},
+     "unknown config key: dataset.seed"),
+    ("unknown-split", {"split": {"val": 0.1}}, "unknown config key: split.val"),
+    ("unknown-pgnn", {"model": {"kind": "pgnn", "width": 8}}, "unknown config key: model.width"),
+    ("unknown-gcn", {"model": {"kind": "gcn", "variant": "fast"}},
+     "unknown config key: model.variant"),
+    ("unknown-train", {"train": {"epoch": 3}}, "unknown config key: train.epoch"),
+    ("bool-as-int", {"model": {"kind": "pgnn", "layers": True}},
+     "config key model.layers must be an integer"),
+    ("float-as-int", {"model": {"kind": "gcn", "message_dim": 4.0}},
+     "config key model.message_dim must be an integer"),
+    ("float-as-int-train", {"train": {"epochs": 4.0}}, "config key train.epochs must be an integer"),
+    ("string-as-number", {"train": {"lr": "0.1"}}, "config key train.lr must be a number"),
+    ("string-as-fraction", {"split": {"val_frac": "0.1"}},
+     "config key split.val_frac must be a number"),
+    ("bool-as-number",
+     {"dataset": {"kind": "communities", "n_comm": 3, "comm_size": 4, "rewire_prob": True}},
+     "config key dataset.rewire_prob must be a number"),
+    ("int-as-bool", {"model": {"kind": "pgnn", "closest_node_agg": 1}},
+     "config key model.closest_node_agg must be a boolean"),
+    ("int-as-string", {"task": 3}, "config key task must be a string"),
+    ("null-required-string", {"dataset": {"kind": "edge_list", "path": None}},
+     "config key dataset.path must be a string"),
+    ("dataset-kind", {"dataset": {"kind": "ring"}},
+     "config key dataset.kind has unsupported value 'ring'"),
+    ("model-kind", {"model": {"kind": "gat"}}, "config key model.kind has unsupported value 'gat'"),
+    ("task", {"task": "regression"}, "config key task has unsupported value 'regression'"),
+    ("setting", {"setting": "semi"}, "config key setting has unsupported value 'semi'"),
+    ("split-sum", {"split": {"val_frac": 0.5, "test_frac": 0.5}},
+     "bad split fractions val=0.5 test=0.5"),
+    ("split-negative", {"split": {"val_frac": -0.1}}, "bad split fractions val=-0.1 test=0.1"),
+    ("split-seed", {"split": {"seed": -1}}, "split.seed must be >= 0, got -1"),
+    ("train-seed", {"train": {"seed": -2}}, "seed must be >= 0, got -2"),
+    ("lr", {"train": {"lr": 0}}, "lr must be positive, got 0.0"),
+    ("anchor-c", {"model": {"kind": "pgnn", "anchor_c": -1}}, "anchor_c must be positive, got -1.0"),
+    ("rewire-prob",
+     {"dataset": {"kind": "communities", "n_comm": 3, "comm_size": 4, "rewire_prob": 2}},
+     "dataset.rewire_prob must be in [0, 1], got 2.0"),
+    ("dataset-not-object", {"dataset": []}, "config key dataset must be an object"),
+    ("split-not-object", {"split": 3}, "config key split must be an object"),
+    ("model-not-object", {"model": "pgnn"}, "config key model must be an object"),
+    ("train-null", {"train": None}, "config key train must be an object"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", [c[1:] for c in _BAD_CONFIGS],
+                         ids=[c[0] for c in _BAD_CONFIGS])
+def test_malformed_config_exits_1_with_its_error(tmp_path, capsys, overrides, message):
+    path = tmp_path / "cfg.json"
+    if isinstance(overrides, dict):
+        write_config(path, **{k: v for k, v in overrides.items() if v is not _DROP})
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps({k: v for k, v in raw.items()
+                                    if overrides.get(k) is not _DROP}))
+    else:
+        path.write_text(json.dumps(overrides))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_eval_rejects_a_model_other_than_the_checkpoints(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        model={"kind": "gcn", "layers": 2, "message_dim": 8})
