@@ -16,10 +16,9 @@ from .metric import (UNREACHABLE, AnchorFamily, DisconnectedGraphError,
                      measure_distortion, sample_anchor_family, set_distance,
                      similarity, truncate)
 from .model import (FAST_HOPS, VARIANTS, Embeddings, GCNConfig, PGNNConfig,
-                    PGNNLayerParams, PGNNParams, gcn_forward, init_gcn_params,
-                    init_pgnn_params, make_distance_input, pgnn_forward,
-                    singleton_family)
-from .tensor import (AdamState, Matrix, ShapeError, Tape, Value, adam_step)
+                    gcn_forward, init_gcn_params, init_pgnn_params,
+                    make_distance_input, pgnn_forward, singleton_family)
+from .tensor import (AdamState, ShapeError, Tape, Value, adam_step)
 from .train import (SETTINGS, EpochRecord, Metrics, RepeatResult, TrainConfig,
                     epoch_loss, model_label, pair_score, roc_auc,
                     run_experiment)
@@ -29,8 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "AnchorFamily", "DisconnectedGraphError", "DistanceMatrix",
     "EdgeListFormatError", "EdgeSplit", "Embeddings", "EpochRecord",
-    "FAST_HOPS", "GCNConfig", "Graph", "Matrix", "Metrics", "PGNNConfig",
-    "PGNNLayerParams", "PGNNParams", "RepeatResult", "SETTINGS", "ShapeError",
+    "FAST_HOPS", "GCNConfig", "Graph", "Metrics", "PGNNConfig",
+    "RepeatResult", "SETTINGS", "ShapeError",
     "TASKS", "Tape", "TrainConfig", "UNREACHABLE", "VARIANTS", "Value",
     "adam_step", "all_pairs", "all_pairs_within", "anchor_family_size",
     "augment_one_hot", "bfs_from", "bourgain_embed", "component_sizes",

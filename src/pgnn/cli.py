@@ -15,27 +15,26 @@ import os
 import struct
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 import numpy as np
 
-from .graph import (TASKS, Graph, check_caveman, check_grid, component_sizes,
-                    connected_caveman, constant_features, grid_graph,
-                    load_edge_list, load_feature_csv, load_node_labels,
-                    split_pairs, write_edge_list, write_node_labels)
+from .graph import (TASKS, Graph, check_caveman, check_grid, check_split,
+                    component_sizes, connected_caveman, constant_features,
+                    grid_graph, load_edge_list, load_feature_csv,
+                    load_node_labels, split_pairs, write_edge_list,
+                    write_node_labels)
 from .metric import (AnchorFamily, DisconnectedGraphError, all_pairs,
                      bourgain_embed, measure_distortion, sample_anchor_family)
-from .model import (GCNConfig, PGNNConfig, PGNNParams, gcn_forward,
-                    init_gcn_params, init_pgnn_params, make_distance_input,
-                    pgnn_forward)
+from .model import (GCNConfig, PGNNConfig, gcn_forward, init_gcn_params,
+                    init_pgnn_params, make_distance_input, pgnn_forward)
 from .tensor import Tape
 from .train import (SETTINGS, TrainConfig, _forward_graph, _score_pairs,
                     model_label, roc_auc, run_experiment)
 
 CHECKPOINT_MAGIC = b"PGNNCKPT"
 CHECKPOINT_VERSION = 1
-
-_MISSING = object()
 
 
 class ConfigError(ValueError):
@@ -51,82 +50,83 @@ class _Parser(argparse.ArgumentParser):
 # config handling
 
 
-def _check_unknown(section: dict, allowed: set[str], path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {path}{key}")
+# kind -> (accepted JSON types, noun for the error); a bool is only a boolean.
+# A spec maps key -> (kind, default); MISSING marks a required key, as it
+# marks a dataclass field without a default.
+_TYPES = {bool: (bool, "a boolean"), int: (int, "an integer"),
+          float: ((int, float), "a number"), str: (str, "a string"), dict: (dict, "an object")}
+
+_ROOT = {"dataset": (dict, MISSING), "task": (str, MISSING), "setting": (str, "inductive"),
+         "split": (dict, {}), "model": (dict, MISSING), "train": (dict, {})}
+_SPLIT = {"val_frac": (float, 0.1), "test_frac": (float, 0.1), "seed": (int, 0)}
+_DATASETS = {
+    "grid": {"rows": (int, MISSING), "cols": (int, MISSING)},
+    "communities": {"n_comm": (int, MISSING), "comm_size": (int, MISSING),
+                    "rewire_prob": (float, 0.01), "seed": (int, 0)},
+    "edge_list": {"path": (str, MISSING), "labels_path": (str, None),
+                  "features_path": (str, None)},
+}
+_MODELS = {"pgnn": PGNNConfig, "gcn": GCNConfig}
 
 
-def _get(section: dict, key: str, path: str, kinds, default=_MISSING):
+def _fields(cls, skip: str = "") -> dict:
+    """The spec of a config dataclass: each field's type and default."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in fields(cls) if f.name != skip}
+
+
+def _get(section: dict, key: str, path: str, kind, default=MISSING):
     if key not in section:
-        if default is _MISSING:
+        if default is MISSING:
             raise ConfigError(f"missing config key: {path}{key}")
         return default
     value = section[key]
-    if kinds is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {path}{key} must be a boolean")
-        return value
-    if kinds is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {path}{key} must be an integer")
-        return value
-    if kinds is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {path}{key} must be a number")
-        return float(value)
-    if kinds is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {path}{key} must be a string")
-        return value
-    if kinds is dict:
-        if not isinstance(value, dict):
-            raise ConfigError(f"config key {path}{key} must be an object")
-        return value
-    raise AssertionError(kinds)
+    if value is None and default is None:
+        return None
+    types, noun = _TYPES[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"config key {path}{key} must be {noun}")
+    return float(value) if kind is float else value
+
+
+def _section(section: dict, path: str, spec: dict) -> dict:
+    """``section`` read by ``spec``, in spec order."""
+    for key in section:
+        if key not in spec:
+            raise ConfigError(f"unknown config key: {path}{key}")
+    return {key: _get(section, key, path, kind, default)
+            for key, (kind, default) in spec.items()}
+
+
+def _kind_section(section: dict, path: str, specs: dict):
+    """Its ``kind`` and ``section`` read by that kind's spec in ``specs``."""
+    kind = _get(section, "kind", path, str)
+    if kind not in specs:
+        raise ConfigError(f"config key {path}kind has unsupported value {kind!r}")
+    return kind, _section(section, path, {"kind": (str, MISSING), **specs[kind]})
 
 
 def _parse_dataset(section: dict):
-    kind = _get(section, "kind", "dataset.", str)
+    kind, ds = _kind_section(section, "dataset.", _DATASETS)
     if kind == "grid":
-        _check_unknown(section, {"kind", "rows", "cols"}, "dataset.")
-        rows = _get(section, "rows", "dataset.", int)
-        cols = _get(section, "cols", "dataset.", int)
-        _check_dataset(check_grid, rows, cols)
-        resolved = {"kind": "grid", "rows": rows, "cols": cols}
-        build = lambda: grid_graph(rows, cols)
-        name = f"grid-{rows}x{cols}"
+        _check_dataset(check_grid, ds["rows"], ds["cols"])
+        build = lambda: grid_graph(ds["rows"], ds["cols"])
+        name = f"grid-{ds['rows']}x{ds['cols']}"
     elif kind == "communities":
-        _check_unknown(section, {"kind", "n_comm", "comm_size", "rewire_prob", "seed"},
-                       "dataset.")
-        n_comm = _get(section, "n_comm", "dataset.", int)
-        comm_size = _get(section, "comm_size", "dataset.", int)
-        rewire_prob = _get(section, "rewire_prob", "dataset.", float, 0.01)
-        seed = _get(section, "seed", "dataset.", int, 0)
-        _check_dataset(check_caveman, n_comm, comm_size, rewire_prob)
-        resolved = {"kind": "communities", "n_comm": n_comm, "comm_size": comm_size,
-                    "rewire_prob": rewire_prob, "seed": seed}
-        build = lambda: connected_caveman(n_comm, comm_size, rewire_prob, seed)
-        name = f"communities-{n_comm}x{comm_size}"
-    elif kind == "edge_list":
-        _check_unknown(section, {"kind", "path", "labels_path", "features_path"},
-                       "dataset.")
-        path = _get(section, "path", "dataset.", str)
-        labels_path = _get(section, "labels_path", "dataset.", str, None)
-        features_path = _get(section, "features_path", "dataset.", str, None)
-        resolved = {"kind": "edge_list", "path": path,
-                    "labels_path": labels_path, "features_path": features_path}
-
+        _check_dataset(check_caveman, ds["n_comm"], ds["comm_size"], ds["rewire_prob"])
+        build = lambda: connected_caveman(ds["n_comm"], ds["comm_size"],
+                                          ds["rewire_prob"], ds["seed"])
+        name = f"communities-{ds['n_comm']}x{ds['comm_size']}"
+    else:
         def build():
-            g = load_edge_list(path)
+            g = load_edge_list(ds["path"])
+            labels_path, features_path = ds["labels_path"], ds["features_path"]
             labels = load_node_labels(labels_path, g.n) if labels_path else None
             feats = load_feature_csv(features_path, g.n) if features_path else None
             return Graph(n=g.n, adjacency=g.adjacency, features=feats, labels=labels)
 
-        name = os.path.splitext(os.path.basename(path))[0]
-    else:
-        raise ConfigError(f"config key dataset.kind has unsupported value {kind!r}")
-    return build, name, resolved
+        name = os.path.splitext(os.path.basename(ds["path"]))[0]
+    return build, name, ds
 
 
 def _check_dataset(check, *args) -> None:
@@ -137,90 +137,39 @@ def _check_dataset(check, *args) -> None:
 
 
 def _parse_model(section: dict):
-    kind = _get(section, "kind", "model.", str)
-    if kind == "pgnn":
-        _check_unknown(section, {"kind", "layers", "variant", "anchor_c",
-                                 "message_dim", "closest_node_agg",
-                                 "resample_anchors"}, "model.")
-        make_cfg, kwargs = PGNNConfig, dict(
-            layers=_get(section, "layers", "model.", int, 2),
-            anchor_c=_get(section, "anchor_c", "model.", float, 1.0),
-            variant=_get(section, "variant", "model.", str, "exact"),
-            message_dim=_get(section, "message_dim", "model.", int, 32),
-            closest_node_agg=_get(section, "closest_node_agg", "model.", bool, True),
-            resample_anchors=_get(section, "resample_anchors", "model.", bool, True),
-        )
-    elif kind == "gcn":
-        _check_unknown(section, {"kind", "layers", "message_dim"}, "model.")
-        make_cfg, kwargs = GCNConfig, dict(
-            layers=_get(section, "layers", "model.", int, 2),
-            message_dim=_get(section, "message_dim", "model.", int, 32))
-    else:
-        raise ConfigError(f"config key model.kind has unsupported value {kind!r}")
+    kind, model = _kind_section(section, "model.",
+                                {kind: _fields(cls) for kind, cls in _MODELS.items()})
     try:
-        cfg = make_cfg(**kwargs)
+        cfg = _MODELS[kind](**{k: v for k, v in model.items() if k != "kind"})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg, {"kind": kind, **asdict(cfg)}
+    return cfg, model
 
 
 def _parse_run_config(raw: dict, seed_override: int | None,
                       repeats_override: int | None):
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_unknown(raw, {"dataset", "task", "setting", "split", "model", "train"}, "")
-    build, name, ds_resolved = _parse_dataset(_get(raw, "dataset", "", dict))
-    task = _get(raw, "task", "", str)
-    if task not in TASKS:
-        raise ConfigError(f"config key task has unsupported value {task!r}")
-    setting = _get(raw, "setting", "", str, "inductive")
-    if setting not in SETTINGS:
-        raise ConfigError(f"config key setting has unsupported value {setting!r}")
-
-    split_sec = _get(raw, "split", "", dict, {})
-    _check_unknown(split_sec, {"val_frac", "test_frac", "seed"}, "split.")
-    val_frac = _get(split_sec, "val_frac", "split.", float, 0.1)
-    test_frac = _get(split_sec, "test_frac", "split.", float, 0.1)
-    split_seed = _get(split_sec, "seed", "split.", int, 0)
-
-    model_cfg, model_resolved = _parse_model(_get(raw, "model", "", dict))
-
-    train_sec = _get(raw, "train", "", dict, {})
-    _check_unknown(train_sec, {"epochs", "lr", "beta1", "beta2", "eps",
-                               "seed", "repeats"}, "train.")
-    train_kwargs = dict(
-        epochs=_get(train_sec, "epochs", "train.", int, 200),
-        lr=_get(train_sec, "lr", "train.", float, 0.01),
-        beta1=_get(train_sec, "beta1", "train.", float, 0.9),
-        beta2=_get(train_sec, "beta2", "train.", float, 0.999),
-        eps=_get(train_sec, "eps", "train.", float, 1e-8),
-        seed=_get(train_sec, "seed", "train.", int, 0),
-        repeats=_get(train_sec, "repeats", "train.", int, 10),
-        setting=setting,
-    )
+    resolved = _section(raw, "", _ROOT)
+    build, name, resolved["dataset"] = _parse_dataset(resolved["dataset"])
+    for key, allowed in (("task", TASKS), ("setting", SETTINGS)):
+        if resolved[key] not in allowed:
+            raise ConfigError(f"config key {key} has unsupported value {resolved[key]!r}")
+    split = resolved["split"] = _section(resolved["split"], "split.", _SPLIT)
+    model_cfg, resolved["model"] = _parse_model(resolved["model"])
+    train = resolved["train"] = _section(resolved["train"], "train.",
+                                         _fields(TrainConfig, skip="setting"))
     if seed_override is not None:
-        train_kwargs["seed"] = seed_override
+        train["seed"] = seed_override
     if repeats_override is not None:
-        train_kwargs["repeats"] = repeats_override
+        train["repeats"] = repeats_override
     try:
-        train_cfg = TrainConfig(**train_kwargs)
-        if val_frac < 0 or test_frac < 0 or val_frac + test_frac >= 1:
-            raise ValueError(f"bad split fractions val={val_frac} test={test_frac}")
-        if split_seed < 0:
-            raise ValueError(f"split.seed must be >= 0, got {split_seed}")
+        train_cfg = TrainConfig(**train, setting=resolved["setting"])
+        check_split(*split.values())
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    resolved = {
-        "dataset": ds_resolved,
-        "task": task,
-        "setting": setting,
-        "split": {"val_frac": val_frac, "test_frac": test_frac, "seed": split_seed},
-        "model": model_resolved,
-        "train": {k: train_kwargs[k] for k in
-                  ("epochs", "lr", "beta1", "beta2", "eps", "seed", "repeats")},
-    }
-    return build, name, task, (val_frac, test_frac, split_seed), model_cfg, train_cfg, resolved
+    return (build, name, resolved["task"], tuple(split.values()), model_cfg, train_cfg,
+            resolved)
 
 
 def _load_config_file(path: str) -> dict:
@@ -338,13 +287,11 @@ def _checkpoint_header(task, name, setting, model_resolved, best) -> dict:
 
 
 def _named_matrices(model_resolved: dict, arrays) -> list:
+    """(name, array) pairs; a PGNN list holds a (w_msg, w) pair per layer."""
     if model_resolved["kind"] == "pgnn":
-        names = []
-        for layer in range(len(arrays) // 2):
-            names.append(f"layer{layer}.w_msg")
-            names.append(f"layer{layer}.w")
+        names = [f"layer{i // 2}.{('w_msg', 'w')[i % 2]}" for i in range(len(arrays))]
     else:
-        names = [f"layer{layer}.w" for layer in range(len(arrays))]
+        names = [f"layer{i}.w" for i in range(len(arrays))]
     return list(zip(names, arrays))
 
 
@@ -380,6 +327,9 @@ def _cmd_eval(args) -> int:
     if resolved["model"] != ckpt_model:
         raise ConfigError(f"config model {model_label(config_model)} {resolved['model']} does "
                           f"not match checkpoint model {model_label(model_cfg)} {ckpt_model}")
+    if header["setting"] != train_cfg.setting:
+        raise ConfigError(f"config setting {train_cfg.setting!r} does not match "
+                          f"checkpoint setting {header['setting']!r}")
     g = build()
     split = split_pairs(g, task, *split_args)
     fg = _forward_graph(g, split, train_cfg.setting)
@@ -387,9 +337,7 @@ def _cmd_eval(args) -> int:
     if isinstance(model_cfg, PGNNConfig):
         dm = make_distance_input(fg, model_cfg)
         fam = sample_anchor_family(fg.n, model_cfg.anchor_c, header["anchor_seed"])
-        emb = pgnn_forward(tape, fg, dm, fam,
-                           PGNNParams.from_list(arrays), model_cfg)
-        z = emb.z.data
+        z = pgnn_forward(tape, fg, dm, fam, arrays, model_cfg).z.data
     else:
         z = gcn_forward(tape, fg, arrays, model_cfg.layers).data
     val_scores, val_labels = _score_pairs(z, split.val_pos, split.val_neg)

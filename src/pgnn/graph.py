@@ -389,6 +389,15 @@ def _sample_negatives(g: Graph, task: Task, pos: set[Pair], count: int,
     return out
 
 
+def check_split(val_frac: float, test_frac: float, seed: int) -> None:
+    """Raise ValueError unless both fractions are >= 0 and leave room for
+    training pairs, and the seed is >= 0."""
+    if val_frac < 0 or test_frac < 0 or val_frac + test_frac >= 1:
+        raise ValueError(f"bad split fractions val={val_frac} test={test_frac}")
+    if seed < 0:
+        raise ValueError(f"split.seed must be >= 0, got {seed}")
+
+
 def split_pairs(g: Graph, task: Task, val_frac: float, test_frac: float,
                 seed: int) -> EdgeSplit:
     """Partition positive pairs into train/val/test and sample negatives.
@@ -401,9 +410,7 @@ def split_pairs(g: Graph, task: Task, val_frac: float, test_frac: float,
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
-    if val_frac < 0 or test_frac < 0 or val_frac + test_frac >= 1:
-        raise ValueError(
-            f"bad split fractions val={val_frac} test={test_frac}")
+    check_split(val_frac, test_frac, seed)
     pos = _positive_universe(g, task)
     total = len(pos)
     if total == 0:

@@ -18,7 +18,7 @@ onto a learned vector, giving one anchor-indexed output column per set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,30 +69,6 @@ class GCNConfig:
             raise ValueError(f"message_dim must be >= 1, got {self.message_dim}")
 
 
-@dataclass
-class PGNNLayerParams:
-    """One layer's weights: message map (2 * d_in) x r and output vector r x 1."""
-
-    w_msg: np.ndarray
-    w: np.ndarray
-
-
-@dataclass
-class PGNNParams:
-    layers: list[PGNNLayerParams] = field(default_factory=list)
-
-    def as_list(self) -> list[np.ndarray]:
-        return [a for layer in self.layers for a in (layer.w_msg, layer.w)]
-
-    @classmethod
-    def from_list(cls, arrays: list[np.ndarray]) -> "PGNNParams":
-        if len(arrays) % 2 != 0:
-            raise ShapeError("expected (w_msg, w) pairs")
-        layers = [PGNNLayerParams(w_msg=arrays[i], w=arrays[i + 1])
-                  for i in range(0, len(arrays), 2)]
-        return cls(layers=layers)
-
-
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
             shape: tuple[int, int]) -> np.ndarray:
     bound = math.sqrt(6.0 / (fan_in + fan_out))
@@ -100,19 +76,22 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
 
 
 def init_pgnn_params(d_in: int, cfg: PGNNConfig,
-                     rng: np.random.Generator) -> PGNNParams:
-    """Uniform +-sqrt(6 / (fan_in + fan_out)) init; layer l+1 input dim is r."""
+                     rng: np.random.Generator) -> list[np.ndarray]:
+    """Uniform +-sqrt(6 / (fan_in + fan_out)) init; layer l+1 input dim is r.
+
+    Returns [w_msg0, w0, w_msg1, w1, ...] in checkpoint order: per layer the
+    2d x r message map (d the layer's input width) and the r x 1 output vector.
+    """
     if d_in < 1:
         raise ValueError(f"d_in must be >= 1, got {d_in}")
     r = cfg.message_dim
-    layers = []
+    params = []
     dim = d_in
     for _ in range(cfg.layers):
-        w_msg = _glorot(rng, 2 * dim, r, (2 * dim, r))
-        w = _glorot(rng, r, 1, (r, 1))
-        layers.append(PGNNLayerParams(w_msg=w_msg, w=w))
+        params.append(_glorot(rng, 2 * dim, r, (2 * dim, r)))
+        params.append(_glorot(rng, r, 1, (r, 1)))
         dim = r
-    return PGNNParams(layers=layers)
+    return params
 
 
 def init_gcn_params(d_in: int, cfg: GCNConfig,
@@ -190,7 +169,7 @@ def _check_forward_args(g: Graph, dm: DistanceMatrix, fam: AnchorFamily) -> None
 
 
 def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
-                 params: PGNNParams, cfg: PGNNConfig) -> Embeddings:
+                 params: list[np.ndarray], cfg: PGNNConfig) -> Embeddings:
     """Run the L-layer position-aware forward pass on the given tape.
 
     Z has one column per anchor set, in fam order.  The cross-set sum for H
@@ -198,22 +177,22 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
     columns and leaves H bit-identical.
     """
     _check_forward_args(g, dm, fam)
-    if len(params.layers) != cfg.layers:
-        raise ShapeError(f"{len(params.layers)} layer params for layers={cfg.layers}")
+    if len(params) != 2 * cfg.layers:
+        raise ShapeError(f"{len(params)} params for layers={cfg.layers} (w_msg, w) pairs")
     n, k = g.n, fam.k
     node, member, sim, row, weight, pair, slot = _message_table(dm, fam, cfg.closest_node_agg)
     inv_k = np.full((n, 1), 1.0 / k)
     h = tape.leaf(g.features)
-    for layer in params.layers:
+    for w_msg in params[::2]:
         # leaf() memoizes by array: every layer shares one node per table column
         hu = tape.scale_rows(tape.gather_rows(h, member), tape.leaf(sim))
         msg = tape.relu(tape.matmul(tape.concat_cols(tape.gather_rows(h, node), hu),
-                                    tape.leaf(layer.w_msg)))
+                                    tape.leaf(w_msg)))
         msg = tape.gather_rows(msg, row)  # each distinct message into its slots
         if not cfg.closest_node_agg:  # average each pair's rows into one
             msg = tape.segment_sum(tape.scale_rows(msg, tape.leaf(weight)), pair, slot.size)
         h = tape.scale_rows(tape.segment_sum(msg, slot // k, n), tape.leaf(inv_k))
-    z = tape.matmul(msg, tape.leaf(params.layers[-1].w))
+    z = tape.matmul(msg, tape.leaf(params[-1]))
     return Embeddings(z=tape.reshape(tape.segment_sum(z, slot, n * k), n, k), h=h)
 
 

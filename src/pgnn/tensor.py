@@ -21,77 +21,34 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class Matrix:
-    """Immutable dense matrix of 64-bit floats.
-
-    Construction rejects NaN/Inf entries and anything that is not
-    two-dimensional.  The wrapped array is marked read-only.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, values) -> None:
-        a = np.array(values, dtype=np.float64)
-        self._check_and_bind(a)
-
-    @classmethod
-    def _wrap(cls, a: np.ndarray) -> "Matrix":
-        # internal fast path for freshly computed op outputs: no copy
-        m = object.__new__(cls)
-        m._check_and_bind(a)
-        return m
-
-    def _check_and_bind(self, a: np.ndarray) -> None:
-        if a.ndim != 2:
-            raise ShapeError(f"matrix must be 2-d, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite (no NaN/Inf)")
-        a.setflags(write=False)
-        self._a = a
-
-    @property
-    def rows(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self._a.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
-    @property
-    def data(self) -> np.ndarray:
-        """Row-major read-only view of the entries."""
-        return self._a
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
+def _checked(a: np.ndarray) -> np.ndarray:
+    """``a`` marked read-only, once it is known to be 2-d and finite."""
+    if a.ndim != 2:
+        raise ShapeError(f"matrix must be 2-d, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class Value:
-    """Handle to one node recorded on a tape; carries the forward matrix."""
+    """Handle to one node recorded on a tape; carries the read-only forward array."""
 
     tape: "Tape"
     id: int
-    matrix: Matrix
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.matrix.data
+    data: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return self.data.shape
 
 
 class _Node:
-    __slots__ = ("matrix", "parents", "backward")
+    __slots__ = ("data", "parents", "backward")
 
-    def __init__(self, matrix, parents, backward):
-        self.matrix = matrix
+    def __init__(self, data, parents, backward):
+        self.data = data
         self.parents = parents
         self.backward = backward
 
@@ -127,10 +84,10 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def _record(self, matrix: Matrix, parents: tuple[int, ...],
+    def _record(self, data: np.ndarray, parents: tuple[int, ...],
                 backward: Callable | None) -> Value:
-        self._nodes.append(_Node(matrix, parents, backward))
-        return Value(self, len(self._nodes) - 1, matrix)
+        self._nodes.append(_Node(_checked(data), parents, backward))
+        return Value(self, len(self._nodes) - 1, data)
 
     def _own(self, *vals: Value) -> None:
         for v in vals:
@@ -149,11 +106,11 @@ class Tape:
         if isinstance(values, np.ndarray):
             memo = self._leaf_memo.get(id(values))
             if memo is not None:
-                return Value(self, memo[1], self._nodes[memo[1]].matrix)
-            out = self._record(Matrix(values), (), None)
+                return Value(self, memo[1], self._nodes[memo[1]].data)
+            out = self._record(np.array(values, dtype=np.float64), (), None)
             self._leaf_memo[id(values)] = (values, out.id)
             return out
-        return self._record(Matrix(values), (), None)
+        return self._record(np.array(values, dtype=np.float64), (), None)
 
     # ------------------------------------------------------------------
     # ops
@@ -167,7 +124,7 @@ class Tape:
         def back(g):
             return g @ bd.T, ad.T @ g
 
-        return self._record(Matrix._wrap(ad @ bd), (a.id, b.id), back)
+        return self._record(ad @ bd, (a.id, b.id), back)
 
     def add(self, a: Value, b: Value) -> Value:
         self._own(a, b)
@@ -177,7 +134,7 @@ class Tape:
         def back(g):
             return g, g
 
-        return self._record(Matrix._wrap(a.data + b.data), (a.id, b.id), back)
+        return self._record(a.data + b.data, (a.id, b.id), back)
 
     def hadamard(self, a: Value, b: Value) -> Value:
         self._own(a, b)
@@ -188,7 +145,7 @@ class Tape:
         def back(g):
             return g * bd, g * ad
 
-        return self._record(Matrix._wrap(ad * bd), (a.id, b.id), back)
+        return self._record(ad * bd, (a.id, b.id), back)
 
     def scale_rows(self, a: Value, s: Value) -> Value:
         """Multiply row i of ``a`` by the scalar ``s[i, 0]``."""
@@ -200,7 +157,7 @@ class Tape:
         def back(g):
             return g * sd, (g * ad).sum(axis=1, keepdims=True)
 
-        return self._record(Matrix._wrap(ad * sd), (a.id, s.id), back)
+        return self._record(ad * sd, (a.id, s.id), back)
 
     def concat_cols(self, a: Value, b: Value) -> Value:
         self._own(a, b)
@@ -211,19 +168,7 @@ class Tape:
         def back(g):
             return g[:, :split], g[:, split:]
 
-        return self._record(Matrix._wrap(np.hstack((a.data, b.data))),
-                            (a.id, b.id), back)
-
-    def row_mean(self, a: Value) -> Value:
-        """Mean over rows, returning a 1 x cols row vector."""
-        self._own(a)
-        shape = a.shape
-
-        def back(g):
-            return (np.broadcast_to(g / shape[0], shape).copy(),)
-
-        return self._record(Matrix._wrap(a.data.mean(axis=0, keepdims=True)),
-                            (a.id,), back)
+        return self._record(np.hstack((a.data, b.data)), (a.id, b.id), back)
 
     def gather_rows(self, a: Value, idx) -> Value:
         """Select rows of ``a`` by index; gradient scatters back by sum.
@@ -237,7 +182,7 @@ class Tape:
         def back(g):
             return (_scatter_rows(g, ix, rows),)
 
-        return self._record(Matrix._wrap(a.data[ix]), (a.id,), back)
+        return self._record(a.data[ix], (a.id,), back)
 
     def segment_sum(self, a: Value, idx, rows: int) -> Value:
         """Add row i of ``a`` into row ``idx[i]`` of a ``rows``-row output.
@@ -252,8 +197,7 @@ class Tape:
         def back(g):
             return (g[ix],)
 
-        return self._record(Matrix._wrap(_scatter_rows(a.data, ix, rows)),
-                            (a.id,), back)
+        return self._record(_scatter_rows(a.data, ix, rows), (a.id,), back)
 
     def reshape(self, a: Value, rows: int, cols: int) -> Value:
         """The entries of ``a`` in row-major order as a rows x cols matrix."""
@@ -265,7 +209,7 @@ class Tape:
         def back(g):
             return (g.reshape(shape),)
 
-        return self._record(Matrix._wrap(a.data.reshape(rows, cols)), (a.id,), back)
+        return self._record(a.data.reshape(rows, cols), (a.id,), back)
 
     def relu(self, a: Value) -> Value:
         self._own(a)
@@ -274,7 +218,7 @@ class Tape:
         def back(g):
             return (g * (ad > 0.0),)
 
-        return self._record(Matrix._wrap(np.maximum(ad, 0.0)), (a.id,), back)
+        return self._record(np.maximum(ad, 0.0), (a.id,), back)
 
     def bce_with_logits(self, logits: Value, targets) -> Value:
         """Mean binary cross-entropy over a column of logits.
@@ -300,7 +244,7 @@ class Tape:
         def back(g):
             return (g[0, 0] * (expit(x) - t) / m,)
 
-        return self._record(Matrix._wrap(out), (logits.id,), back)
+        return self._record(out, (logits.id,), back)
 
     # ------------------------------------------------------------------
     # reverse pass
@@ -336,7 +280,7 @@ class Tape:
         table: dict[int, np.ndarray] = {}
         for nid, node in enumerate(self._nodes):
             g = grads[nid]
-            table[nid] = g if g is not None else np.zeros(node.matrix.shape)
+            table[nid] = g if g is not None else np.zeros(node.data.shape)
         return table
 
 

@@ -17,9 +17,9 @@ import numpy as np
 
 from .graph import EdgeSplit, Graph, augment_one_hot, constant_features
 from .metric import AnchorFamily, sample_anchor_family
-from .model import (Embeddings, GCNConfig, PGNNConfig, PGNNParams,
-                    gcn_forward, init_gcn_params, init_pgnn_params,
-                    make_distance_input, pgnn_forward)
+from .model import (Embeddings, GCNConfig, PGNNConfig, gcn_forward,
+                    init_gcn_params, init_pgnn_params, make_distance_input,
+                    pgnn_forward)
 from .tensor import Tape, Value, adam_step
 
 SETTINGS = ("transductive", "inductive")
@@ -108,19 +108,24 @@ def pair_score(emb, u: int, v: int) -> float:
     return float(z[u] @ z[v])
 
 
+def _pair_index(pos, neg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoints u and v of the pairs pos + neg, and their 1/0 labels."""
+    pairs = np.array(list(pos) + list(neg), dtype=np.int64).reshape(-1, 2)
+    labels = np.concatenate([np.ones(len(pos), dtype=np.int64),
+                             np.zeros(len(neg), dtype=np.int64)])
+    return pairs[:, 0], pairs[:, 1], labels
+
+
 def epoch_loss(tape: Tape, z: Value, pos_pairs, neg_pairs) -> Value:
     """Mean BCE over inner-product logits: positives target 1, negatives 0."""
-    pairs = list(pos_pairs) + list(neg_pairs)
-    if not pairs:
+    us, vs, labels = _pair_index(pos_pairs, neg_pairs)
+    if not labels.size:
         raise ValueError("epoch_loss needs at least one pair")
-    us = np.array([p[0] for p in pairs], dtype=np.int64)
-    vs = np.array([p[1] for p in pairs], dtype=np.int64)
     zu = tape.gather_rows(z, us)
     zv = tape.gather_rows(z, vs)
     prod = tape.hadamard(zu, zv)
     logits = tape.matmul(prod, tape.leaf(np.ones((z.shape[1], 1))))
-    targets = np.concatenate([np.ones(len(pos_pairs)), np.zeros(len(neg_pairs))])
-    return tape.bce_with_logits(logits, targets)
+    return tape.bce_with_logits(logits, labels)
 
 
 def roc_auc(scores, labels) -> float:
@@ -172,13 +177,8 @@ def _anchor_seed(run_seed: int, epoch: int, forward_idx: int) -> int:
 
 
 def _score_pairs(z: np.ndarray, pos, neg) -> tuple[np.ndarray, np.ndarray]:
-    pairs = list(pos) + list(neg)
-    us = np.array([p[0] for p in pairs], dtype=np.int64)
-    vs = np.array([p[1] for p in pairs], dtype=np.int64)
-    scores = (z[us] * z[vs]).sum(axis=1)
-    labels = np.concatenate([np.ones(len(pos), dtype=np.int64),
-                             np.zeros(len(neg), dtype=np.int64)])
-    return scores, labels
+    us, vs, labels = _pair_index(pos, neg)
+    return (z[us] * z[vs]).sum(axis=1), labels
 
 
 def model_label(model_cfg) -> str:
@@ -191,10 +191,8 @@ def _run_single(fg: Graph, dm, split: EdgeSplit, model_cfg, tc: TrainConfig,
                 run_seed: int, repeat_idx: int) -> RepeatResult:
     is_pgnn = isinstance(model_cfg, PGNNConfig)
     rng = np.random.default_rng(run_seed)
-    if is_pgnn:
-        plist = init_pgnn_params(fg.features.shape[1], model_cfg, rng).as_list()
-    else:
-        plist = init_gcn_params(fg.features.shape[1], model_cfg, rng)
+    init = init_pgnn_params if is_pgnn else init_gcn_params
+    plist = init(fg.features.shape[1], model_cfg, rng)
 
     def draw_family(epoch: int) -> AnchorFamily | None:
         if not is_pgnn:
@@ -204,10 +202,8 @@ def _run_single(fg: Graph, dm, split: EdgeSplit, model_cfg, tc: TrainConfig,
 
     def score_value(tape: Tape, arrays, fam) -> Value:
         if is_pgnn:
-            emb = pgnn_forward(tape, fg, dm, fam,
-                               PGNNParams.from_list(list(arrays)), model_cfg)
-            return emb.z
-        return gcn_forward(tape, fg, list(arrays), model_cfg.layers)
+            return pgnn_forward(tape, fg, dm, fam, arrays, model_cfg).z
+        return gcn_forward(tape, fg, arrays, model_cfg.layers)
 
     def evaluate_auc(arrays, fam, pos, neg) -> float:
         tape = Tape()

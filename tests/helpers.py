@@ -85,12 +85,12 @@ def reference_pgnn_forward(g: Graph, dm, fam, params, closest: bool):
     own = np.arange(n)
     order = sorted(range(k), key=lambda m: (fam.provenance[m], m))
     h = np.asarray(g.features, dtype=np.float64)
-    for layer in params.layers:
+    for w_msg in params[::2]:
         blocks = []
         for members in fam.sets:
             mem = np.array(members, dtype=np.int64)
             if mem.size == 0:
-                blocks.append(np.zeros((n, layer.w_msg.shape[1])))
+                blocks.append(np.zeros((n, w_msg.shape[1])))
                 continue
             hops = dm.d[:, mem].astype(np.float64)
             hops[dm.d[:, mem] < 0] = np.inf
@@ -101,13 +101,13 @@ def reference_pgnn_forward(g: Graph, dm, fam, params, closest: bool):
             else:
                 choices = [(np.full(n, u), hops[:, j]) for j, u in enumerate(mem)]
             msgs = [np.maximum(np.hstack([h, (1.0 / (d + 1.0))[:, None] * h[u]])
-                               @ layer.w_msg, 0.0) for u, d in choices]
+                               @ w_msg, 0.0) for u, d in choices]
             blocks.append(msgs[0] if closest else np.mean(msgs, axis=0))
         acc = blocks[order[0]]
         for m in order[1:]:
             acc = acc + blocks[m]
         h = acc * (1.0 / k)
-    z = np.hstack([block @ params.layers[-1].w for block in blocks])
+    z = np.hstack([block @ params[-1] for block in blocks])
     return z, h
 
 

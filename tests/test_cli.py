@@ -256,6 +256,44 @@ def test_eval_rejects_a_model_other_than_the_checkpoints(tmp_path, capsys):
     assert not epath.exists()
 
 
+def test_eval_rejects_a_setting_other_than_the_checkpoints(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", setting="transductive")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
+    capsys.readouterr()
+    other = write_config(tmp_path / "other.json", setting="inductive")
+    epath = tmp_path / "e.json"
+    assert main(["eval", "--config", other, "--checkpoint", str(tmp_path / "m.ckpt"),
+                 "--out", str(epath)]) == 1
+    assert capsys.readouterr().err == ("error: config setting 'inductive' does not match "
+                                       "checkpoint setting 'transductive'\n")
+    assert not epath.exists()
+
+
+@pytest.mark.parametrize("kind", ["grid", "communities", "edge_list"])
+def test_resolved_config_round_trips(tmp_path, capsys, kind):
+    """The config echoed into the metrics is itself a config giving the same run."""
+    if kind == "grid":
+        dataset = {"kind": "grid", "rows": 4, "cols": 5}
+    elif kind == "communities":
+        dataset = {"kind": "communities", "n_comm": 3, "comm_size": 4}
+    else:
+        edges = tmp_path / "g.edges"
+        assert main(["generate", "grid", "4", "5", "--out", str(edges)]) == 0
+        dataset = {"kind": "edge_list", "path": str(edges)}
+    first = write_config(tmp_path / "first.json", dataset=dataset,
+                         model={"kind": "pgnn", "message_dim": 4},
+                         train={"epochs": 2, "repeats": 1})
+    assert main(["train", "--config", first, "--out", str(tmp_path / "a.json")]) == 0
+    echoed = tmp_path / "echoed.json"
+    echoed.write_text(json.dumps(json.loads((tmp_path / "a.json").read_text())["config"]))
+    assert main(["train", "--config", str(echoed), "--out", str(tmp_path / "b.json")]) == 0
+    for ext in ("json", "ckpt"):
+        assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+    assert main(["eval", "--config", str(echoed), "--checkpoint", str(tmp_path / "b.ckpt"),
+                 "--out", str(tmp_path / "e.json")]) == 0
+    capsys.readouterr()
+
+
 def test_config_file_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["train", "--config", missing]) == 1

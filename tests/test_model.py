@@ -7,8 +7,6 @@ from pgnn.metric import (UNREACHABLE, AnchorFamily, all_pairs, closest_members,
 from pgnn.model import (
     GCNConfig,
     PGNNConfig,
-    PGNNLayerParams,
-    PGNNParams,
     gcn_forward,
     init_gcn_params,
     init_pgnn_params,
@@ -54,14 +52,12 @@ def test_config_validation():
 def test_init_shapes_bounds_and_determinism():
     cfg = PGNNConfig(layers=2, message_dim=8)
     params = init_pgnn_params(3, cfg, np.random.default_rng(0))
-    assert params.layers[0].w_msg.shape == (6, 8)
-    assert params.layers[0].w.shape == (8, 1)
-    assert params.layers[1].w_msg.shape == (16, 8)
-    assert params.layers[1].w.shape == (8, 1)
+    # [w_msg0, w0, w_msg1, w1]: the checkpoint's layer{i}.w_msg / layer{i}.w order
+    assert [p.shape for p in params] == [(6, 8), (8, 1), (16, 8), (8, 1)]
     bound0 = np.sqrt(6.0 / (6 + 8))
-    assert np.abs(params.layers[0].w_msg).max() <= bound0
+    assert np.abs(params[0]).max() <= bound0
     again = init_pgnn_params(3, cfg, np.random.default_rng(0))
-    for a, b in zip(params.as_list(), again.as_list()):
+    for a, b in zip(params, again):
         assert np.array_equal(a, b)
     gw = init_gcn_params(3, GCNConfig(layers=2, message_dim=8),
                          np.random.default_rng(0))
@@ -69,18 +65,6 @@ def test_init_shapes_bounds_and_determinism():
     assert gw[1].shape == (8, 8)
     with pytest.raises(ValueError):
         init_pgnn_params(0, cfg, np.random.default_rng(0))
-
-
-def test_params_list_roundtrip():
-    cfg = PGNNConfig(layers=3, message_dim=4)
-    params = init_pgnn_params(2, cfg, np.random.default_rng(1))
-    flat = params.as_list()
-    assert len(flat) == 6
-    back = PGNNParams.from_list(flat)
-    for a, b in zip(flat, back.as_list()):
-        assert a is b
-    with pytest.raises(ShapeError):
-        PGNNParams.from_list(flat[:3])
 
 
 def test_fast_distances_are_two_hop_truncation():
@@ -122,6 +106,8 @@ def test_forward_argument_validation():
                                  np.random.default_rng(0))
     with pytest.raises(ShapeError):
         pgnn_forward(Tape(), g, dm, fam, two_layer, cfg)
+    with pytest.raises(ShapeError):  # a w_msg without its output vector
+        pgnn_forward(Tape(), g, dm, fam, params[:1], cfg)
 
 
 def test_empty_anchor_set_yields_zero_output_column():
@@ -147,7 +133,7 @@ def test_forward_matches_hand_computation():
     params = init_pgnn_params(2, cfg, np.random.default_rng(5))
     z, h = forward_embeddings(g, fam, params, cfg)
 
-    w_msg, w = params.layers[0].w_msg, params.layers[0].w
+    w_msg, w = params
     # set {0}: closest member is 0 for everyone; set {1,2}: node 0 -> 1,
     # node 1 -> 1, node 2 -> 2, with hop counts 1, 0, 0
     stars = [np.array([0, 0, 0]), np.array([1, 1, 2])]
@@ -355,10 +341,7 @@ def test_position_aware_reduces_to_gcn_on_singleton_sets():
     gcn_cfg = GCNConfig(layers=2, message_dim=5)
     weights = init_gcn_params(3, gcn_cfg, np.random.default_rng(3))
 
-    params = PGNNParams(layers=[
-        PGNNLayerParams(w_msg=np.vstack([np.zeros_like(w), w]),
-                        w=np.zeros((5, 1)))
-        for w in weights])
+    params = [a for w in weights for a in (np.vstack([np.zeros_like(w), w]), np.zeros((5, 1)))]
 
     cfg = PGNNConfig(layers=2, message_dim=5)
     one_hop = truncate(all_pairs(g), 1)
@@ -435,16 +418,14 @@ def test_full_model_gradient_check(closest):
     cfg = PGNNConfig(layers=2, message_dim=5, closest_node_agg=closest)
     dm = make_distance_input(g, cfg)
     fam = sample_anchor_family(12, 1.0, seed=6)
-    params = init_pgnn_params(3, cfg, rng)
-    flat = params.as_list()
+    flat = init_pgnn_params(3, cfg, rng)
     pos = [(0, 3), (2, 9), (4, 4)]
     neg = [(1, 7), (5, 11)]
 
     def loss_at(arrays):
         tape = Tape()
         leaves = [tape.leaf(a) for a in arrays]
-        emb = pgnn_forward(tape, g, dm, fam,
-                           PGNNParams.from_list(list(arrays)), cfg)
+        emb = pgnn_forward(tape, g, dm, fam, arrays, cfg)
         return tape, leaves, epoch_loss(tape, emb.z, pos, neg)
 
     tape, leaves, loss = loss_at(flat)
