@@ -20,8 +20,8 @@ from .model import (FAST_HOPS, VARIANTS, Embeddings, GCNConfig, PGNNConfig,
                     make_distance_input, pgnn_forward, singleton_family)
 from .tensor import (AdamState, ShapeError, Tape, Value, adam_step)
 from .train import (SETTINGS, EpochRecord, Metrics, RepeatResult, TrainConfig,
-                    epoch_loss, model_label, pair_score, roc_auc,
-                    run_experiment)
+                    epoch_loss, evaluate, model_label, pair_score,
+                    roc_auc, run_experiment)
 
 __version__ = "0.1.0"
 
@@ -33,11 +33,11 @@ __all__ = [
     "TASKS", "Tape", "TrainConfig", "UNREACHABLE", "VARIANTS", "Value",
     "adam_step", "all_pairs", "all_pairs_within", "anchor_family_size",
     "augment_one_hot", "bfs_from", "bourgain_embed", "component_sizes",
-    "connected_caveman", "constant_features", "epoch_loss", "gcn_forward",
-    "grid_graph", "init_gcn_params", "init_pgnn_params", "load_edge_list",
-    "load_feature_csv", "load_node_labels", "make_distance_input",
-    "measure_distortion", "model_label", "pair_score", "pgnn_forward",
-    "roc_auc", "run_experiment", "sample_anchor_family", "set_distance",
-    "similarity", "singleton_family", "split_pairs", "truncate",
-    "write_edge_list", "write_node_labels",
+    "connected_caveman", "constant_features", "epoch_loss", "evaluate",
+    "gcn_forward", "grid_graph", "init_gcn_params", "init_pgnn_params",
+    "load_edge_list", "load_feature_csv", "load_node_labels",
+    "make_distance_input", "measure_distortion", "model_label", "pair_score",
+    "pgnn_forward", "roc_auc", "run_experiment", "sample_anchor_family",
+    "set_distance", "similarity", "singleton_family", "split_pairs",
+    "truncate", "write_edge_list", "write_node_labels",
 ]

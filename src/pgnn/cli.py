@@ -28,10 +28,9 @@ from .graph import (TASKS, Graph, check_caveman, check_grid, check_split,
 from .metric import (AnchorFamily, DisconnectedGraphError, all_pairs,
                      bourgain_embed, measure_distortion, sample_anchor_family)
 from .model import (GCNConfig, PGNNConfig, gcn_forward, init_gcn_params,
-                    init_pgnn_params, make_distance_input, pgnn_forward)
+                    init_pgnn_params, pgnn_forward)
 from .tensor import Tape
-from .train import (SETTINGS, TrainConfig, _forward_graph, _score_pairs,
-                    model_label, roc_auc, run_experiment)
+from .train import SETTINGS, TrainConfig, evaluate, model_label, run_experiment
 
 CHECKPOINT_MAGIC = b"PGNNCKPT"
 CHECKPOINT_VERSION = 1
@@ -146,8 +145,14 @@ def _parse_model(section: dict):
     return cfg, model
 
 
-def _parse_run_config(raw: dict, seed_override: int | None,
-                      repeats_override: int | None):
+def _parse_run_config(path: str, seed: int | None = None, repeats: int | None = None):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     resolved = _section(raw, "", _ROOT)
@@ -159,10 +164,10 @@ def _parse_run_config(raw: dict, seed_override: int | None,
     model_cfg, resolved["model"] = _parse_model(resolved["model"])
     train = resolved["train"] = _section(resolved["train"], "train.",
                                          _fields(TrainConfig, skip="setting"))
-    if seed_override is not None:
-        train["seed"] = seed_override
-    if repeats_override is not None:
-        train["repeats"] = repeats_override
+    if seed is not None:
+        train["seed"] = seed
+    if repeats is not None:
+        train["repeats"] = repeats
     try:
         train_cfg = TrainConfig(**train, setting=resolved["setting"])
         check_split(*split.values())
@@ -170,16 +175,6 @@ def _parse_run_config(raw: dict, seed_override: int | None,
         raise ConfigError(str(exc)) from None
     return (build, name, resolved["task"], tuple(split.values()), model_cfg, train_cfg,
             resolved)
-
-
-def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -227,21 +222,21 @@ def save_checkpoint(path: str, header: dict, matrices: list[np.ndarray]) -> None
 
 def load_checkpoint(path: str) -> tuple[dict, list[np.ndarray]]:
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        def read(size: int) -> bytes:
+            raw = fh.read(size)
+            if len(raw) != size:
+                raise ValueError(f"{path}: truncated checkpoint")
+            return raw
+
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, hlen = struct.unpack("<II", fh.read(8))
+        version, hlen = struct.unpack("<II", read(8))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        matrices = []
-        for spec in header["matrices"]:
-            count = spec["rows"] * spec["cols"]
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"{path}: truncated checkpoint")
-            matrices.append(np.frombuffer(raw, dtype="<f8").reshape(
-                spec["rows"], spec["cols"]).copy())
+        header = json.loads(read(hlen).decode("utf-8"))
+        matrices = [np.frombuffer(read(spec["rows"] * spec["cols"] * 8), dtype="<f8")
+                    .reshape(spec["rows"], spec["cols"]).copy()
+                    for spec in header["matrices"]]
     return header, matrices
 
 
@@ -296,9 +291,8 @@ def _named_matrices(model_resolved: dict, arrays) -> list:
 
 
 def _cmd_train(args) -> int:
-    raw = _load_config_file(args.config)
     (build, name, task, split_args, model_cfg, train_cfg,
-     resolved) = _parse_run_config(raw, args.seed, args.repeats)
+     resolved) = _parse_run_config(args.config, args.seed, args.repeats)
     g = build()
     split = split_pairs(g, task, *split_args)
     t0 = time.perf_counter()
@@ -319,9 +313,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    raw = _load_config_file(args.config)
     (build, name, task, split_args, config_model, train_cfg,
-     resolved) = _parse_run_config(raw, args.seed, args.repeats)
+     resolved) = _parse_run_config(args.config)
     header, arrays = load_checkpoint(args.checkpoint)
     model_cfg, ckpt_model = _parse_model(header["model_config"])
     if resolved["model"] != ckpt_model:
@@ -332,23 +325,15 @@ def _cmd_eval(args) -> int:
                           f"checkpoint setting {header['setting']!r}")
     g = build()
     split = split_pairs(g, task, *split_args)
-    fg = _forward_graph(g, split, train_cfg.setting)
-    tape = Tape()
-    if isinstance(model_cfg, PGNNConfig):
-        dm = make_distance_input(fg, model_cfg)
-        fam = sample_anchor_family(fg.n, model_cfg.anchor_c, header["anchor_seed"])
-        z = pgnn_forward(tape, fg, dm, fam, arrays, model_cfg).z.data
-    else:
-        z = gcn_forward(tape, fg, arrays, model_cfg.layers).data
-    val_scores, val_labels = _score_pairs(z, split.val_pos, split.val_neg)
-    test_scores, test_labels = _score_pairs(z, split.test_pos, split.test_neg)
+    val_auc, test_auc = evaluate(g, split, model_cfg, train_cfg.setting, arrays,
+                                 header["anchor_seed"])
     payload = {
         "task": task,
         "dataset": name,
         "model": model_label(model_cfg),
         "setting": train_cfg.setting,
-        "val_auc": roc_auc(val_scores, val_labels),
-        "test_auc": roc_auc(test_scores, test_labels),
+        "val_auc": val_auc,
+        "test_auc": test_auc,
         "config": resolved,
     }
     _write_json(args.out, payload)
@@ -468,11 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="checkpoint path (default: metrics path with .ckpt)")
     tr.set_defaults(func=_cmd_train)
 
-    ev = sub.add_parser("eval", help="re-evaluate a checkpoint against a config")
+    ev = sub.add_parser("eval", help="validation and test AUC of a checkpoint on its "
+                        "config's split (the config's train section is echoed only)")
     ev.add_argument("--config", required=True)
     ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--seed", type=int, default=None)
-    ev.add_argument("--repeats", type=int, default=None)
     ev.add_argument("--out", default="eval.json")
     ev.set_defaults(func=_cmd_eval)
 

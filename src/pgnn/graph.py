@@ -219,16 +219,9 @@ def connected_caveman(n_comm: int, comm_size: int, rewire_prob: float,
 # file formats
 
 
-def load_edge_list(path: str) -> Graph:
-    """Read an undirected edge list, one "u v" pair per line.
-
-    Fields may be separated by any whitespace (tabs in the written format),
-    '#'-prefixed lines are comments, duplicate lines and self loops are
-    dropped, and the node count is 1 + the largest id seen.
-    """
-    max_id = -1
-    edges: list[Pair] = []
-    saw_data = False
+def _int_pairs(path: str, noun: str) -> Iterator[tuple[int, str, int, int]]:
+    """(line number, line, a, b) for each whitespace-separated "a b" line of
+    ``path``, skipping blank and '#' lines; ``noun`` names a field in errors."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -239,43 +232,37 @@ def load_edge_list(path: str) -> Graph:
                 raise EdgeListFormatError(
                     f"{path}:{lineno}: expected two fields, got {len(parts)}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                a, b = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EdgeListFormatError(
-                    f"{path}:{lineno}: non-integer node id in {line!r}") from None
-            if u < 0 or v < 0:
-                raise EdgeListFormatError(
-                    f"{path}:{lineno}: negative node id in {line!r}")
-            saw_data = True
-            max_id = max(max_id, u, v)
-            edges.append((u, v))
-    if not saw_data:
+                    f"{path}:{lineno}: non-integer {noun} in {line!r}") from None
+            yield lineno, line, a, b
+
+
+def load_edge_list(path: str) -> Graph:
+    """Read an undirected edge list, one "u v" pair per line (tabs in the
+    written format); duplicate lines and self loops are dropped, and the node
+    count is 1 + the largest id seen."""
+    edges: list[Pair] = []
+    for lineno, line, u, v in _int_pairs(path, "node id"):
+        if u < 0 or v < 0:
+            raise EdgeListFormatError(
+                f"{path}:{lineno}: negative node id in {line!r}")
+        edges.append((u, v))
+    if not edges:
         raise ValueError(f"{path}: edge list is empty")
-    return Graph.from_edges(max_id + 1, edges)
+    return Graph.from_edges(1 + max(map(max, edges)), edges)
 
 
 def load_node_labels(path: str, n: int) -> np.ndarray:
     """Read "node_id label" lines into a length-n int vector."""
     labels = np.full(n, -1, dtype=np.int64)
     filled = np.zeros(n, dtype=bool)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EdgeListFormatError(
-                    f"{path}:{lineno}: expected two fields, got {len(parts)}")
-            try:
-                node, lab = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListFormatError(
-                    f"{path}:{lineno}: non-integer field in {line!r}") from None
-            if not (0 <= node < n):
-                raise ValueError(f"{path}:{lineno}: node id {node} out of range")
-            labels[node] = lab
-            filled[node] = True
+    for lineno, _, node, lab in _int_pairs(path, "field"):
+        if not (0 <= node < n):
+            raise ValueError(f"{path}:{lineno}: node id {node} out of range")
+        labels[node] = lab
+        filled[node] = True
     if not filled.all():
         missing = int(np.flatnonzero(~filled)[0])
         raise ValueError(f"{path}: no label for node {missing}")
@@ -290,21 +277,23 @@ def load_feature_csv(path: str, n: int) -> np.ndarray:
     return feats
 
 
-def write_edge_list(path: str, g: Graph, header: str) -> None:
-    """Write the graph's edges as tab-separated pairs under a comment header."""
+def _write_pairs(path: str, header: str, pairs: Iterable[Pair]) -> None:
+    """Write tab-separated pairs under a '# header' comment line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {header}\n")
-        for u, v in g.edges():
-            fh.write(f"{u}\t{v}\n")
+        for a, b in pairs:
+            fh.write(f"{a}\t{b}\n")
+
+
+def write_edge_list(path: str, g: Graph, header: str) -> None:
+    """Write the graph's edges as tab-separated pairs under a comment header."""
+    _write_pairs(path, header, g.edges())
 
 
 def write_node_labels(path: str, g: Graph, header: str) -> None:
     if g.labels is None:
         raise ValueError("graph has no labels to write")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        for node, lab in enumerate(g.labels):
-            fh.write(f"{node}\t{int(lab)}\n")
+    _write_pairs(path, header, enumerate(g.labels.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -391,8 +380,8 @@ def _sample_negatives(g: Graph, task: Task, pos: set[Pair], count: int,
 
 def check_split(val_frac: float, test_frac: float, seed: int) -> None:
     """Raise ValueError unless both fractions are >= 0 and leave room for
-    training pairs, and the seed is >= 0."""
-    if val_frac < 0 or test_frac < 0 or val_frac + test_frac >= 1:
+    training pairs (so neither is NaN or infinite), and the seed is >= 0."""
+    if not (val_frac >= 0 and test_frac >= 0 and val_frac + test_frac < 1):
         raise ValueError(f"bad split fractions val={val_frac} test={test_frac}")
     if seed < 0:
         raise ValueError(f"split.seed must be >= 0, got {seed}")

@@ -47,8 +47,8 @@ class PGNNConfig:
     def __post_init__(self):
         if not (1 <= self.layers <= 8):
             raise ValueError(f"layers must be in [1, 8], got {self.layers}")
-        if self.anchor_c <= 0:
-            raise ValueError(f"anchor_c must be positive, got {self.anchor_c}")
+        if not 0 < self.anchor_c < math.inf:
+            raise ValueError(f"anchor_c must be finite and > 0, got {self.anchor_c}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.message_dim < 1:

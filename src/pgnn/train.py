@@ -41,8 +41,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        # each check is written so that NaN fails it
+        for name in ("lr", "eps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if self.seed < 0:
@@ -176,56 +181,68 @@ def _anchor_seed(run_seed: int, epoch: int, forward_idx: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _score_pairs(z: np.ndarray, pos, neg) -> tuple[np.ndarray, np.ndarray]:
-    us, vs, labels = _pair_index(pos, neg)
-    return (z[us] * z[vs]).sum(axis=1), labels
-
-
 def model_label(model_cfg) -> str:
     if isinstance(model_cfg, PGNNConfig):
         return f"pgnn-{model_cfg.variant[0]}-{model_cfg.layers}l"
     return f"gcn-{model_cfg.layers}l"
 
 
+def _prepare(g: Graph, split: EdgeSplit, model_cfg, setting: str):
+    """The forward graph and, for the position-aware model, its distance input."""
+    if not isinstance(model_cfg, (PGNNConfig, GCNConfig)):
+        raise TypeError(f"unsupported model config {type(model_cfg).__name__}")
+    fg = _forward_graph(g, split, setting)
+    dm = make_distance_input(fg, model_cfg) if isinstance(model_cfg, PGNNConfig) else None
+    return fg, dm
+
+
+def _family(fg: Graph, model_cfg, seed: int | None) -> AnchorFamily | None:
+    """The anchor family drawn from ``seed``; None for the GCN, which has none."""
+    if isinstance(model_cfg, PGNNConfig):
+        return sample_anchor_family(fg.n, model_cfg.anchor_c, seed)
+    return None
+
+
+def _embed(tape: Tape, fg: Graph, dm, fam, params, model_cfg) -> Value:
+    """The embeddings pairs are scored on: the PGNN's Z or the GCN's last h."""
+    if isinstance(model_cfg, PGNNConfig):
+        return pgnn_forward(tape, fg, dm, fam, params, model_cfg).z
+    return gcn_forward(tape, fg, params, model_cfg.layers)
+
+
+def _auc(z: np.ndarray, pos, neg) -> float:
+    """ROC AUC of the inner-product scores of pos (label 1) against neg (0)."""
+    us, vs, labels = _pair_index(pos, neg)
+    return roc_auc((z[us] * z[vs]).sum(axis=1), labels)
+
+
+def evaluate(g: Graph, split: EdgeSplit, model_cfg, setting: str, params,
+             anchor_seed: int | None) -> tuple[float, float]:
+    """Validation and test AUC of ``params`` with the family drawn from ``anchor_seed``."""
+    fg, dm = _prepare(g, split, model_cfg, setting)
+    z = _embed(Tape(), fg, dm, _family(fg, model_cfg, anchor_seed), params, model_cfg).data
+    return _auc(z, split.val_pos, split.val_neg), _auc(z, split.test_pos, split.test_neg)
+
+
 def _run_single(fg: Graph, dm, split: EdgeSplit, model_cfg, tc: TrainConfig,
                 run_seed: int, repeat_idx: int) -> RepeatResult:
-    is_pgnn = isinstance(model_cfg, PGNNConfig)
-    rng = np.random.default_rng(run_seed)
-    init = init_pgnn_params if is_pgnn else init_gcn_params
-    plist = init(fg.features.shape[1], model_cfg, rng)
-
-    def draw_family(epoch: int) -> AnchorFamily | None:
-        if not is_pgnn:
-            return None
-        return sample_anchor_family(fg.n, model_cfg.anchor_c,
-                                    _anchor_seed(run_seed, epoch, 0))
-
-    def score_value(tape: Tape, arrays, fam) -> Value:
-        if is_pgnn:
-            return pgnn_forward(tape, fg, dm, fam, arrays, model_cfg).z
-        return gcn_forward(tape, fg, arrays, model_cfg.layers)
-
-    def evaluate_auc(arrays, fam, pos, neg) -> float:
-        tape = Tape()
-        z = score_value(tape, arrays, fam)
-        scores, labels = _score_pairs(z.data, pos, neg)
-        return roc_auc(scores, labels)
-
-    fam0 = draw_family(0)
-    fixed_fam = fam0 if (is_pgnn and not model_cfg.resample_anchors) else None
+    init = init_pgnn_params if isinstance(model_cfg, PGNNConfig) else init_gcn_params
+    plist = init(fg.features.shape[1], model_cfg, np.random.default_rng(run_seed))
+    fam = _family(fg, model_cfg, _anchor_seed(run_seed, 0, 0))
+    # the GCN draws no family, so it has none to redraw
+    resample = getattr(model_cfg, "resample_anchors", False)
     state = None
-    best_auc = -math.inf
-    best_epoch = 0
-    best_arrays = [a.copy() for a in plist]
-    best_fam = fam0
+    best_auc, best_epoch = -math.inf, 0
+    best_arrays, best_fam, best_z = plist, fam, None
     log: list[EpochRecord] = []
     last_loss = math.nan
 
     for epoch in range(1, tc.epochs + 1):
-        fam = fixed_fam if fixed_fam is not None else draw_family(epoch)
+        if resample:
+            fam = _family(fg, model_cfg, _anchor_seed(run_seed, epoch, 0))
         tape = Tape()
         leaves = [tape.leaf(p) for p in plist]
-        z = score_value(tape, plist, fam)
+        z = _embed(tape, fg, dm, fam, plist, model_cfg)
         loss = epoch_loss(tape, z, split.train_pos, split.train_neg)
         last_loss = float(loss.data[0, 0])
         table = tape.backward(loss)
@@ -233,23 +250,23 @@ def _run_single(fg: Graph, dm, split: EdgeSplit, model_cfg, tc: TrainConfig,
         del tape, table, z, loss, leaves
         plist, state = adam_step(plist, grads, state,
                                  lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
-        val_auc = evaluate_auc(plist, fam, split.val_pos, split.val_neg)
+        z = _embed(Tape(), fg, dm, fam, plist, model_cfg).data
+        val_auc = _auc(z, split.val_pos, split.val_neg)
         log.append(EpochRecord(loss=last_loss, val_auc=val_auc))
         if val_auc > best_auc:
-            best_auc = val_auc
-            best_epoch = epoch
-            best_arrays = [a.copy() for a in plist]
-            best_fam = fam
+            best_auc, best_epoch = val_auc, epoch
+            # adam_step returns new arrays, so the snapshot needs no copy
+            best_arrays, best_fam, best_z = plist, fam, z
 
     if tc.epochs == 0:
-        best_auc = evaluate_auc(plist, fam0, split.val_pos, split.val_neg)
         tape = Tape()
-        z = score_value(tape, plist, fam0)
+        z = _embed(tape, fg, dm, fam, plist, model_cfg)
         last_loss = float(epoch_loss(tape, z, split.train_pos,
                                      split.train_neg).data[0, 0])
-        del tape, z
+        best_z = z.data
+        best_auc = _auc(best_z, split.val_pos, split.val_neg)
 
-    test_auc = evaluate_auc(best_arrays, best_fam, split.test_pos, split.test_neg)
+    test_auc = _auc(best_z, split.test_pos, split.test_neg)
     return RepeatResult(repeat=repeat_idx, test_auc=test_auc, val_auc=best_auc,
                         best_epoch=best_epoch, train_loss=last_loss,
                         epoch_log=tuple(log), snapshot=tuple(best_arrays),
@@ -259,10 +276,7 @@ def _run_single(fg: Graph, dm, split: EdgeSplit, model_cfg, tc: TrainConfig,
 def run_experiment(g: Graph, split: EdgeSplit, model_cfg, train_cfg: TrainConfig,
                    dataset: str = "graph") -> Metrics:
     """Train and evaluate ``repeats`` times; deterministic given the seeds."""
-    if not isinstance(model_cfg, (PGNNConfig, GCNConfig)):
-        raise TypeError(f"unsupported model config {type(model_cfg).__name__}")
-    fg = _forward_graph(g, split, train_cfg.setting)
-    dm = make_distance_input(fg, model_cfg) if isinstance(model_cfg, PGNNConfig) else None
+    fg, dm = _prepare(g, split, model_cfg, train_cfg.setting)
     per = []
     for r in range(train_cfg.repeats):
         per.append(_run_single(fg, dm, split, model_cfg, train_cfg,

@@ -110,9 +110,14 @@ def test_train_run_is_byte_deterministic(tmp_path):
 
 
 def test_eval_reproduces_selected_test_auc(tmp_path, capsys):
-    for model in ({"kind": "pgnn", "layers": 2, "message_dim": 8},
-                  {"kind": "gcn", "layers": 2, "message_dim": 8}):
-        cfg = write_config(tmp_path / "cfg.json", model=model)
+    pgnn = {"kind": "pgnn", "layers": 2, "message_dim": 8}
+    gcn = {"kind": "gcn", "layers": 2, "message_dim": 8}
+    trained = {"epochs": 2, "repeats": 2, "lr": 0.01, "seed": 0}
+    untrained = {**trained, "epochs": 0}
+    for model, train in ((pgnn, trained), (gcn, trained), (pgnn, untrained),
+                         (gcn, untrained),
+                         ({**pgnn, "resample_anchors": False}, {**trained, "epochs": 4})):
+        cfg = write_config(tmp_path / "cfg.json", model=model, train=train)
         mpath = tmp_path / "m.json"
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--config", cfg, "--out", str(mpath)]) == 0
@@ -214,8 +219,20 @@ _BAD_CONFIGS = [
     ("split-negative", {"split": {"val_frac": -0.1}}, "bad split fractions val=-0.1 test=0.1"),
     ("split-seed", {"split": {"seed": -1}}, "split.seed must be >= 0, got -1"),
     ("train-seed", {"train": {"seed": -2}}, "seed must be >= 0, got -2"),
-    ("lr", {"train": {"lr": 0}}, "lr must be positive, got 0.0"),
-    ("anchor-c", {"model": {"kind": "pgnn", "anchor_c": -1}}, "anchor_c must be positive, got -1.0"),
+    ("lr", {"train": {"lr": 0}}, "lr must be finite and > 0, got 0.0"),
+    ("anchor-c", {"model": {"kind": "pgnn", "anchor_c": -1}},
+     "anchor_c must be finite and > 0, got -1.0"),
+    # json.load accepts NaN and Infinity; each check must reject them
+    ("lr-nan", {"train": {"lr": float("nan")}}, "lr must be finite and > 0, got nan"),
+    ("lr-inf", {"train": {"lr": float("inf")}}, "lr must be finite and > 0, got inf"),
+    ("eps-negative", {"train": {"eps": -1.0}}, "eps must be finite and > 0, got -1.0"),
+    ("beta1-one", {"train": {"beta1": 1.0}}, "beta1 must be in [0, 1), got 1.0"),
+    ("beta2-nan", {"train": {"beta2": float("nan")}}, "beta2 must be in [0, 1), got nan"),
+    ("anchor-c-nan", {"model": {"kind": "pgnn", "anchor_c": float("nan")}},
+     "anchor_c must be finite and > 0, got nan"),
+    ("split-nan", {"split": {"val_frac": float("nan")}}, "bad split fractions val=nan test=0.1"),
+    ("split-inf", {"split": {"test_frac": float("-inf")}},
+     "bad split fractions val=0.1 test=-inf"),
     ("rewire-prob",
      {"dataset": {"kind": "communities", "n_comm": 3, "comm_size": 4, "rewire_prob": 2}},
      "dataset.rewire_prob must be in [0, 1], got 2.0"),
@@ -307,6 +324,9 @@ def test_config_file_errors(tmp_path, capsys):
 def test_bad_arguments_exit_with_config_error(monkeypatch, capsys):
     assert main(["train"]) == 1
     assert main(["no-such-command"]) == 1
+    # eval takes no --seed or --repeats: they would change no computed value
+    assert main(["eval", "--config", "c.json", "--checkpoint", "m.ckpt", "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert main(["generate", "grid", "two", "2", "--out", "x"]) == 1
     capsys.readouterr()
 
@@ -386,6 +406,9 @@ def test_checkpoint_roundtrip_and_validation(tmp_path):
 
     blob = (tmp_path / "m.ckpt").read_bytes()
     truncated = tmp_path / "short.ckpt"
-    truncated.write_bytes(blob[:-4])
-    with pytest.raises(ValueError, match="truncated"):
-        load_checkpoint(str(truncated))
+    # inside the version and header-length words, inside the header, in a matrix
+    for size in (10, 14, 20, len(blob) - 4):
+        truncated.write_bytes(blob[:size])
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(str(truncated))
+        assert str(err.value) == f"{truncated}: truncated checkpoint"

@@ -255,6 +255,23 @@ def test_split_link_prediction_partitions_edges():
         assert (u, v) not in edge_set
 
 
+def test_split_negatives_by_rejection_sampling_on_a_large_graph():
+    # 1024 nodes give 523,776 pairs, past the enumerate-the-complement limit
+    g = grid_graph(32, 32)
+    assert g.n * (g.n - 1) // 2 > 500_000
+    split = split_pairs(g, "link_prediction", 0.1, 0.1, seed=0)
+    edge_set = set(g.edges())
+    neg = split.train_neg + split.val_neg + split.test_neg
+    assert len(set(neg)) == len(neg)
+    for u, v in neg:
+        assert u < v
+        assert (u, v) not in edge_set
+    for pos, negs in ((split.train_pos, split.train_neg), (split.val_pos, split.val_neg),
+                      (split.test_pos, split.test_neg)):
+        assert len(negs) == len(pos) > 0
+    assert split_pairs(g, "link_prediction", 0.1, 0.1, seed=0) == split
+
+
 def test_split_pairwise_uses_label_pairs():
     g = connected_caveman(20, 20, 0.01, seed=0)
     split = split_pairs(g, "pairwise_node_classification", 0.1, 0.1, seed=0)
@@ -287,6 +304,9 @@ def test_split_rejects_bad_inputs():
         split_pairs(g, "link_prediction", -0.1, 0.1, seed=0)
     with pytest.raises(ValueError):
         split_pairs(g, "link_prediction", 0.6, 0.5, seed=0)
+    for val_frac, test_frac in ((float("nan"), 0.1), (0.1, float("inf"))):
+        with pytest.raises(ValueError, match="bad split fractions"):
+            split_pairs(g, "link_prediction", val_frac, test_frac, seed=0)
     with pytest.raises(ValueError):
         split_pairs(g, "mystery_task", 0.1, 0.1, seed=0)
     with pytest.raises(ValueError):

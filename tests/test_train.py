@@ -142,6 +142,16 @@ def test_train_config_validation():
         TrainConfig(seed=-1)
     with pytest.raises(ValueError):
         TrainConfig(setting="semi-supervised")
+    # each bound rejects NaN as well as values past it
+    for field, bad in (("lr", math.nan), ("lr", math.inf), ("eps", -1.0), ("eps", 0.0),
+                       ("eps", math.nan), ("beta1", 1.0), ("beta1", -0.1),
+                       ("beta1", math.nan), ("beta2", 1.0), ("beta2", math.nan)):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: bad})
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="anchor_c"):
+            PGNNConfig(anchor_c=bad)
+    TrainConfig(beta1=0.0, beta2=0.0)
 
 
 def test_model_labels():
