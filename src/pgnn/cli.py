@@ -112,7 +112,8 @@ def _parse_dataset(section: dict):
         build = lambda: grid_graph(ds["rows"], ds["cols"])
         name = f"grid-{ds['rows']}x{ds['cols']}"
     elif kind == "communities":
-        _check_dataset(check_caveman, ds["n_comm"], ds["comm_size"], ds["rewire_prob"])
+        _check_dataset(check_caveman, ds["n_comm"], ds["comm_size"], ds["rewire_prob"],
+                       ds["seed"])
         build = lambda: connected_caveman(ds["n_comm"], ds["comm_size"],
                                           ds["rewire_prob"], ds["seed"])
         name = f"communities-{ds['n_comm']}x{ds['comm_size']}"
@@ -320,9 +321,10 @@ def _cmd_eval(args) -> int:
     if resolved["model"] != ckpt_model:
         raise ConfigError(f"config model {model_label(config_model)} {resolved['model']} does "
                           f"not match checkpoint model {model_label(model_cfg)} {ckpt_model}")
-    if header["setting"] != train_cfg.setting:
-        raise ConfigError(f"config setting {train_cfg.setting!r} does not match "
-                          f"checkpoint setting {header['setting']!r}")
+    for key, ours in (("task", task), ("dataset", name), ("setting", train_cfg.setting)):
+        if header[key] != ours:
+            raise ConfigError(f"config {key} {ours!r} does not match "
+                              f"checkpoint {key} {header[key]!r}")
     g = build()
     split = split_pairs(g, task, *split_args)
     val_auc, test_auc = evaluate(g, split, model_cfg, train_cfg.setting, arrays,
@@ -345,11 +347,15 @@ def _cmd_distortion(args) -> int:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     if not 0 < args.anchor_c < math.inf:
         raise ConfigError(f"--anchor-c must be finite and > 0, got {args.anchor_c}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     build, name, ds = _parse_dataset(_dataset_section(args))
     if ds["kind"] == "grid" and ds["rows"] * ds["cols"] < 2:
         raise ConfigError("distortion needs at least 2 nodes, got dataset.rows x "
                           f"dataset.cols = {ds['rows']}x{ds['cols']}")
     g = build()
+    if g.n < 2:
+        raise ConfigError(f"distortion needs at least 2 nodes, got n = {g.n} in {name}")
     sizes = component_sizes(g.adjacency)
     if len(sizes) > 1:
         raise DisconnectedGraphError(

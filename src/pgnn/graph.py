@@ -146,7 +146,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph.from_edges(rows * cols, edges)
 
 
-def check_caveman(n_comm: int, comm_size: int, rewire_prob: float) -> None:
+def check_caveman(n_comm: int, comm_size: int, rewire_prob: float, seed: int) -> None:
     """Raise ValueError naming the first caveman parameter out of range."""
     if n_comm < 2:
         raise ValueError(f"n_comm must be >= 2, got {n_comm}")
@@ -154,6 +154,8 @@ def check_caveman(n_comm: int, comm_size: int, rewire_prob: float) -> None:
         raise ValueError(f"comm_size must be >= 2, got {comm_size}")
     if not (0.0 <= rewire_prob <= 1.0):
         raise ValueError(f"rewire_prob must be in [0, 1], got {rewire_prob}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def connected_caveman(n_comm: int, comm_size: int, rewire_prob: float,
@@ -173,9 +175,9 @@ def connected_caveman(n_comm: int, comm_size: int, rewire_prob: float,
         n_comm: number of cliques, at least 2.
         comm_size: nodes per clique, at least 2.
         rewire_prob: per-edge rewiring probability in [0, 1].
-        seed: RNG seed; with rewire_prob == 0 the output is seed-independent.
+        seed: RNG seed, at least 0; with rewire_prob == 0 the output is seed-independent.
     """
-    check_caveman(n_comm, comm_size, rewire_prob)
+    check_caveman(n_comm, comm_size, rewire_prob, seed)
     n = n_comm * comm_size
     edge_set: set[Pair] = set()
     for c in range(n_comm):

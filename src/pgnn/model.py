@@ -184,14 +184,13 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
     inv_k = np.full((n, 1), 1.0 / k)
     h = tape.leaf(g.features)
     for w_msg in params[::2]:
-        # leaf() memoizes by array: every layer shares one node per table column
-        hu = tape.scale_rows(tape.gather_rows(h, member), tape.leaf(sim))
+        hu = tape.scale_rows(tape.gather_rows(h, member), sim)
         msg = tape.relu(tape.matmul(tape.concat_cols(tape.gather_rows(h, node), hu),
                                     tape.leaf(w_msg)))
         msg = tape.gather_rows(msg, row)  # each distinct message into its slots
         if not cfg.closest_node_agg:  # average each pair's rows into one
-            msg = tape.segment_sum(tape.scale_rows(msg, tape.leaf(weight)), pair, slot.size)
-        h = tape.scale_rows(tape.segment_sum(msg, slot // k, n), tape.leaf(inv_k))
+            msg = tape.segment_sum(tape.scale_rows(msg, weight), pair, slot.size)
+        h = tape.scale_rows(tape.segment_sum(msg, slot // k, n), inv_k)
     z = tape.matmul(msg, tape.leaf(params[-1]))
     return Embeddings(z=tape.reshape(tape.segment_sum(z, slot, n * k), n, k), h=h)
 
@@ -214,9 +213,8 @@ def gcn_forward(tape: Tape, g: Graph, weights: list[np.ndarray],
     width = max(map(len, g.adjacency), default=0)
     position = np.array([[a[j] if j < len(a) else v for v, a in enumerate(g.adjacency)]
                          for j in range(width)], dtype=np.int64).reshape(width, n)
-    position_w = [tape.leaf(np.where(idx != np.arange(n), 0.5 / n, 0.0)[:, None])
-                  for idx in position]
-    self_w = tape.leaf(np.full((n, 1), 1.0 / n))
+    position_w = np.where(position != np.arange(n), 0.5 / n, 0.0)[:, :, None]
+    self_w = np.full((n, 1), 1.0 / n)
     h = tape.leaf(g.features)
     for w in weights:
         msg = tape.relu(tape.matmul(h, tape.leaf(w)))

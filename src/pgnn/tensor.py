@@ -101,7 +101,8 @@ class Tape:
         """Register an input/parameter matrix.
 
         Re-registering the same array object returns the original node, so
-        a parameter used by several ops accumulates one gradient entry.
+        the parameter leaves ``train`` registers before a forward are the
+        nodes that forward uses; that is the memo's only purpose.
         """
         if isinstance(values, np.ndarray):
             memo = self._leaf_memo.get(id(values))
@@ -147,17 +148,17 @@ class Tape:
 
         return self._record(ad * bd, (a.id, b.id), back)
 
-    def scale_rows(self, a: Value, s: Value) -> Value:
-        """Multiply row i of ``a`` by the scalar ``s[i, 0]``."""
-        self._own(a, s)
-        if s.shape != (a.shape[0], 1):
-            raise ShapeError(f"scale_rows: {a.shape} vs scale {s.shape}")
-        ad, sd = a.data, s.data
+    def scale_rows(self, a: Value, s) -> Value:
+        """Multiply row i of ``a`` by ``s[i, 0]``; the scale is data, not a tape input."""
+        self._own(a)
+        sd = np.asarray(s, dtype=np.float64)
+        if sd.shape != (a.shape[0], 1):
+            raise ShapeError(f"scale_rows: {a.shape} vs scale {sd.shape}")
 
         def back(g):
-            return g * sd, (g * ad).sum(axis=1, keepdims=True)
+            return (g * sd,)
 
-        return self._record(ad * sd, (a.id, s.id), back)
+        return self._record(a.data * sd, (a.id,), back)
 
     def concat_cols(self, a: Value, b: Value) -> Value:
         self._own(a, b)

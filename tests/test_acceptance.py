@@ -178,7 +178,7 @@ def _op_cases(rng):
         case("matmul", [a, b], lambda t, v: t.matmul(v[0], v[1])),
         case("add", [a, c], lambda t, v: t.add(v[0], v[1])),
         case("hadamard", [a, c], lambda t, v: t.hadamard(v[0], v[1])),
-        case("scale_rows", [a, s], lambda t, v: t.scale_rows(v[0], v[1])),
+        case("scale_rows", [a], lambda t, v: t.scale_rows(v[0], s)),
         case("concat_cols", [a, c], lambda t, v: t.concat_cols(v[0], v[1])),
         case("gather_rows", [a], lambda t, v: t.gather_rows(v[0], idx)),
         case("segment_sum", [a], lambda t, v: t.segment_sum(v[0], seg, 3)),

@@ -236,6 +236,9 @@ _BAD_CONFIGS = [
     ("rewire-prob",
      {"dataset": {"kind": "communities", "n_comm": 3, "comm_size": 4, "rewire_prob": 2}},
      "dataset.rewire_prob must be in [0, 1], got 2.0"),
+    ("dataset-seed",
+     {"dataset": {"kind": "communities", "n_comm": 3, "comm_size": 4, "seed": -1}},
+     "dataset.seed must be >= 0, got -1"),
     ("dataset-not-object", {"dataset": []}, "config key dataset must be an object"),
     ("split-not-object", {"split": 3}, "config key split must be an object"),
     ("model-not-object", {"model": "pgnn"}, "config key model must be an object"),
@@ -273,17 +276,39 @@ def test_eval_rejects_a_model_other_than_the_checkpoints(tmp_path, capsys):
     assert not epath.exists()
 
 
-def test_eval_rejects_a_setting_other_than_the_checkpoints(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json", setting="transductive")
-    assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
-    capsys.readouterr()
-    other = write_config(tmp_path / "other.json", setting="inductive")
-    epath = tmp_path / "e.json"
-    assert main(["eval", "--config", other, "--checkpoint", str(tmp_path / "m.ckpt"),
-                 "--out", str(epath)]) == 1
-    assert capsys.readouterr().err == ("error: config setting 'inductive' does not match "
-                                       "checkpoint setting 'transductive'\n")
-    assert not epath.exists()
+def test_eval_rejects_a_setting_other_than_the_checkpoints(tmp_path, capsys, monkeypatch):
+    """So is a task or dataset other than the checkpoint's, before any graph is built."""
+    def no_build(*args):
+        raise AssertionError("graph built before the checkpoint was checked")
+
+    gcn = {"kind": "gcn", "layers": 2, "message_dim": 8}
+    cave = {"kind": "communities", "n_comm": 3, "comm_size": 4}
+    # (train config overrides, eval config overrides, the difference reported)
+    for trained, evaluated, key, ours, theirs in (
+            ({"setting": "transductive"}, {"setting": "inductive"},
+             "setting", "inductive", "transductive"),
+            ({"setting": "transductive", "model": gcn,
+              "dataset": {"kind": "grid", "rows": 4, "cols": 4}},
+             {"dataset": {"kind": "grid", "rows": 5, "cols": 4}},
+             "dataset", "grid-5x4", "grid-4x4"),
+            ({"task": "pairwise_node_classification", "dataset": cave},
+             {"task": "link_prediction"}, "task", "link_prediction",
+             "pairwise_node_classification"),
+            ({"dataset": cave}, {"dataset": {**cave, "comm_size": 5}},
+             "dataset", "communities-3x5", "communities-3x4")):
+        cfg = write_config(tmp_path / "cfg.json", **trained)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
+        capsys.readouterr()
+        other = write_config(tmp_path / "other.json", **{**trained, **evaluated})
+        epath = tmp_path / "e.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "grid_graph", no_build)
+            patch.setattr(cli, "connected_caveman", no_build)
+            assert main(["eval", "--config", other, "--checkpoint", str(tmp_path / "m.ckpt"),
+                         "--out", str(epath)]) == 1
+        assert capsys.readouterr().err == (f"error: config {key} {ours!r} does not match "
+                                           f"checkpoint {key} {theirs!r}\n")
+        assert not epath.exists()
 
 
 @pytest.mark.parametrize("kind", ["grid", "communities", "edge_list"])
@@ -337,7 +362,9 @@ def test_bad_arguments_exit_with_config_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "connected_caveman", no_build)
     for argv, field in ((["generate", "grid", "0", "5", "--out", "x"], "dataset.rows"),
                         (["distortion", "grid", "1", "1"], "dataset.rows x dataset.cols"),
-                        (["distortion", "communities", "1", "5", "0.1"], "dataset.n_comm")):
+                        (["distortion", "communities", "1", "5", "0.1"], "dataset.n_comm"),
+                        (["generate", "communities", "2", "3", "0.1", "--seed", "-1",
+                          "--out", "x"], "dataset.seed must be >= 0, got -1")):
         assert main(argv) == 1
         assert field in capsys.readouterr().err
 
@@ -366,6 +393,11 @@ def test_distortion_rejects_disconnected_input(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "two_parts: graph has 2 components with sizes [2, 2]" in err
+    one = tmp_path / "one.edges"
+    one.write_text("0 0\n")
+    assert main(["distortion", "edge-list", str(one)]) == 1
+    assert capsys.readouterr().err == ("error: distortion needs at least 2 nodes, "
+                                       "got n = 1 in one\n")
 
 
 def test_distortion_rejects_bad_flags_before_building(monkeypatch, capsys):
@@ -373,7 +405,7 @@ def test_distortion_rejects_bad_flags_before_building(monkeypatch, capsys):
         raise AssertionError("graph built before the flags were checked")
 
     monkeypatch.setattr(cli, "grid_graph", no_build)
-    for flag, value in (("--repeats", "0"), ("--anchor-c", "0")):
+    for flag, value in (("--repeats", "0"), ("--anchor-c", "0"), ("--seed", "-2")):
         assert main(["distortion", "grid", "4", "4", flag, value]) == 1
         assert flag in capsys.readouterr().err
 

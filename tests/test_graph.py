@@ -137,6 +137,8 @@ def test_caveman_rejects_bad_parameters():
         connected_caveman(5, 5, -0.1, seed=0)
     with pytest.raises(ValueError):
         connected_caveman(5, 5, 1.5, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        connected_caveman(5, 5, 0.0, seed=-1)
 
 
 def test_graph_validation_rejects_malformed_adjacency():

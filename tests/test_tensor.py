@@ -71,7 +71,7 @@ def test_op_forward_values():
     assert np.array_equal(tape.matmul(a, b).data, [[19.0, 22.0], [43.0, 50.0]])
     assert np.array_equal(tape.add(a, b).data, [[6.0, 8.0], [10.0, 12.0]])
     assert np.array_equal(tape.hadamard(a, b).data, [[5.0, 12.0], [21.0, 32.0]])
-    s = tape.leaf([[2.0], [0.5]])
+    s = np.array([[2.0], [0.5]])
     assert np.array_equal(tape.scale_rows(a, s).data, [[2.0, 4.0], [1.5, 2.0]])
     assert np.array_equal(tape.concat_cols(a, b).data,
                           [[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]])
@@ -95,7 +95,10 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         tape.hadamard(a, b)
     with pytest.raises(ShapeError):
-        tape.scale_rows(a, tape.leaf(np.ones((3, 1))))
+        tape.scale_rows(a, np.ones((3, 1)))
+    for bad in (np.nan, np.inf):  # a non-finite scale makes its output row non-finite
+        with pytest.raises(ValueError, match="finite"):
+            tape.scale_rows(a, np.array([[1.0], [bad]]))
     with pytest.raises(ShapeError):
         tape.concat_cols(a, tape.leaf(np.ones((3, 2))))
     with pytest.raises(ShapeError):
@@ -238,7 +241,7 @@ def test_finite_difference_every_op():
         check(lambda t, x, y: t.matmul(x, y), a, b)
         check(lambda t, x, y: t.add(x, y), a, c)
         check(lambda t, x, y: t.hadamard(x, y), a, c)
-        check(lambda t, x, y: t.scale_rows(x, y), a, s)
+        check(lambda t, x: t.scale_rows(x, s), a)
         check(lambda t, x, y: t.concat_cols(x, y), a, c)
         check(lambda t, x: t.gather_rows(x, np.array([2, 0, 0, 1])), a)
         check(lambda t, x: t.segment_sum(x, np.array([1, 3, 1]), 4), a)
