@@ -161,6 +161,11 @@ def _parse_run_config(path: str, seed: int | None = None, repeats: int | None = 
     for key, allowed in (("task", TASKS), ("setting", SETTINGS)):
         if resolved[key] not in allowed:
             raise ConfigError(f"config key {key} has unsupported value {resolved[key]!r}")
+    ds = resolved["dataset"]  # only communities and labelled edge lists have labels
+    if (resolved["task"] == "pairwise_node_classification" and ds["kind"] != "communities"
+            and not ds.get("labels_path")):
+        hint = "set dataset.labels_path" if ds["kind"] == "edge_list" else "a grid has none"
+        raise ConfigError(f"pairwise_node_classification needs node labels: {hint}")
     split = resolved["split"] = _section(resolved["split"], "split.", _SPLIT)
     model_cfg, resolved["model"] = _parse_model(resolved["model"])
     train = resolved["train"] = _section(resolved["train"], "train.",

@@ -7,12 +7,14 @@ weight inside the nonlinearity lets the message react to proximity even
 when input features are constant.  Per set the messages are either
 averaged over all members or taken from the single closest member.  A
 message depends only on its node and member, so a layer computes each
-distinct one once (at most n^2 + n rows) and gathers it into a flat table
-of (node, set, member) slots, built once per anchor family: the tape ops
-are the same for any number of sets, and mean aggregation holds
-O(n * total set size * r) floats.  The row-wise mean across sets becomes
-the next node state; the final layer also projects each set's aggregate
-onto a learned vector, giving one anchor-indexed output column per set.
+distinct one once (at most n^2 + n rows).  The row-wise mean across sets,
+the next node state, is a sum over a node's distinct messages, each
+weighted by how often the sets use it.  The final layer also projects each
+distinct message onto a learned vector and expands only that scalar into a
+flat table of (node, set, member) slots, built once per anchor family,
+giving one anchor-indexed output column per set.  The tape ops are the
+same for any number of sets, and a layer holds n * total set size
+scalars plus distinct messages x r floats.
 """
 
 from __future__ import annotations
@@ -128,11 +130,15 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
     Closest mode keeps each (node, set)'s nearest member (ties to the lowest
     id), mean mode every member; empty sets get no slots.  A member out of
     reach becomes the node itself with similarity 0, zeroing that half.
-    Per distinct (node, member, reachable) message: its node and member rows
-    of h and member-half scale; per slot: its message row, 1 / (slots of its
-    (node, set) pair) and the pair's index; per pair of a nonempty set, its
-    slot node * k + set in Z.  Memoized on the last call (dm by identity);
-    the memo keeps that call's dm and table alive until the next call.
+    Per distinct (node, member, reachable) message, in key order: its node
+    and member rows of h, member-half scale and weight in H, (1/k) * the sum
+    of 1 / (slots of the pair) over its slots; per slot: its message row,
+    1 / (slots of its (node, set) pair) and the pair's index; per pair of a
+    nonempty set, its slot node * k + set in Z.  The H weights add integer
+    slot counts divided by the pair width, in increasing width, so neither
+    the order of fam.sets nor listing every set twice changes them.
+    Memoized on the last call (dm by identity); the memo keeps that call's
+    dm and table alive until the next call.
     """
     n, k = dm.n, fam.k
     own = np.arange(n, dtype=np.int64)[:, None]
@@ -146,11 +152,20 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
             columns.append((np.broadcast_to(mem, (n, mem.size)), dm.d[:, mem]))
     widths = np.array([u.shape[1] for u, _ in columns])
     u, d = (np.hstack(parts) for parts in zip(*columns))
-    key = 2 * (own * n + np.where(d != UNREACHABLE, u, own)) + (d != UNREACHABLE)
-    key, first, row = np.unique(key, return_index=True, return_inverse=True)
-    out = (key // 2 // n, key // 2 % n, similarity(d.ravel()[first]).reshape(-1, 1),
-           row.ravel(),
-           np.tile(1.0 / np.repeat(widths, widths), n).reshape(-1, 1),
+    key = (2 * (own * n + np.where(d != UNREACHABLE, u, own)) + (d != UNREACHABLE)).ravel()
+    seen = np.zeros(2 * n * n, dtype=bool)  # keys lie in [0, 2n^2): mark, no sort
+    seen[key] = True
+    distinct = np.flatnonzero(seen)
+    rank = np.empty(seen.size, dtype=np.int64)
+    rank[distinct] = np.arange(distinct.size)
+    row = rank[key]
+    hops = np.empty(distinct.size, dtype=d.dtype)
+    hops[row] = d.ravel()  # equal keys have equal hop counts
+    size = np.tile(np.repeat(widths, widths), n)  # each slot's pair width
+    uses = sum((np.bincount(row[size == m], minlength=distinct.size) / m
+                for m in np.unique(widths[widths > 0])), np.zeros(distinct.size))
+    out = (distinct // 2 // n, distinct // 2 % n, similarity(hops).reshape(-1, 1), row,
+           (uses / k).reshape(-1, 1), (1.0 / size).reshape(-1, 1),
            np.repeat(np.arange(n * np.count_nonzero(widths)), np.tile(widths[widths > 0], n)),
            (own * k + order[widths > 0]).ravel())
     for a in out:  # every caller of the memo shares these arrays
@@ -172,26 +187,27 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
                  params: list[np.ndarray], cfg: PGNNConfig) -> Embeddings:
     """Run the L-layer position-aware forward pass on the given tape.
 
-    Z has one column per anchor set, in fam order.  The cross-set sum for H
-    adds the sets in provenance order, so reordering fam.sets permutes Z's
-    columns and leaves H bit-identical.
+    Z has one column per anchor set, in fam order.  H adds each node's
+    distinct messages in member order, each scaled by its use count, which
+    the table sums in an order fam's order does not touch; so reordering
+    fam.sets permutes Z's columns and leaves H bit-identical, and so does
+    listing every set twice.
     """
     _check_forward_args(g, dm, fam)
     if len(params) != 2 * cfg.layers:
         raise ShapeError(f"{len(params)} params for layers={cfg.layers} (w_msg, w) pairs")
     n, k = g.n, fam.k
-    node, member, sim, row, weight, pair, slot = _message_table(dm, fam, cfg.closest_node_agg)
-    inv_k = np.full((n, 1), 1.0 / k)
+    node, member, sim, row, uses, weight, pair, slot = _message_table(dm, fam,
+                                                                      cfg.closest_node_agg)
     h = tape.leaf(g.features)
     for w_msg in params[::2]:
         hu = tape.scale_rows(tape.gather_rows(h, member), sim)
         msg = tape.relu(tape.matmul(tape.concat_cols(tape.gather_rows(h, node), hu),
                                     tape.leaf(w_msg)))
-        msg = tape.gather_rows(msg, row)  # each distinct message into its slots
-        if not cfg.closest_node_agg:  # average each pair's rows into one
-            msg = tape.segment_sum(tape.scale_rows(msg, weight), pair, slot.size)
-        h = tape.scale_rows(tape.segment_sum(msg, slot // k, n), inv_k)
-    z = tape.matmul(msg, tape.leaf(params[-1]))
+        h = tape.segment_sum(tape.scale_rows(msg, uses), node, n)
+    z = tape.gather_rows(tape.matmul(msg, tape.leaf(params[-1])), row)  # one scalar a slot
+    if not cfg.closest_node_agg:  # average each pair's slots into one
+        z = tape.segment_sum(tape.scale_rows(z, weight), pair, slot.size)
     return Embeddings(z=tape.reshape(tape.segment_sum(z, slot, n * k), n, k), h=h)
 
 

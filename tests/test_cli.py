@@ -239,6 +239,11 @@ _BAD_CONFIGS = [
     ("dataset-seed",
      {"dataset": {"kind": "communities", "n_comm": 3, "comm_size": 4, "seed": -1}},
      "dataset.seed must be >= 0, got -1"),
+    ("edge-list-pairs-no-labels",
+     {"task": "pairwise_node_classification", "dataset": {"kind": "edge_list", "path": "x.edges"}},
+     "pairwise_node_classification needs node labels: set dataset.labels_path"),
+    ("grid-pairs", {"task": "pairwise_node_classification"},
+     "pairwise_node_classification needs node labels: a grid has none"),
     ("dataset-not-object", {"dataset": []}, "config key dataset must be an object"),
     ("split-not-object", {"split": 3}, "config key split must be an object"),
     ("model-not-object", {"model": "pgnn"}, "config key model must be an object"),

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from pgnn.graph import Graph, connected_caveman, constant_features, grid_graph
-from pgnn.metric import (UNREACHABLE, AnchorFamily, all_pairs, closest_members,
-                         sample_anchor_family, truncate)
+from pgnn.metric import (UNREACHABLE, AnchorFamily, all_pairs, sample_anchor_family,
+                         truncate)
 from pgnn.model import (
     GCNConfig,
     PGNNConfig,
+    _message_table,
     gcn_forward,
     init_gcn_params,
     init_pgnn_params,
@@ -206,6 +207,19 @@ def _reference_cases(closest):
         yield name, g, fam, PGNNConfig(closest_node_agg=closest, **kw)
 
 
+def _assert_close(z, h, z_ref, h_ref, label):
+    """The forward against the per-set reference, up to summation order.
+
+    H adds each distinct message once, weighted by its use count, and Z dots
+    each distinct message with w before it is expanded into slots; the
+    reference adds one block per set.  A sum may cancel to a near-zero
+    entry, so the tolerance is relative to the largest entry.
+    """
+    for out, ref in ((z, z_ref), (h, h_ref)):
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(),
+                                   err_msg=label)
+
+
 @pytest.mark.parametrize("closest", [True, False])
 def test_forward_matches_per_set_reference(closest):
     for name, g, fam, cfg in _reference_cases(closest):
@@ -213,16 +227,7 @@ def test_forward_matches_per_set_reference(closest):
         z, h = forward_embeddings(g, fam, params, cfg)
         z_ref, h_ref = reference_pgnn_forward(g, make_distance_input(g, cfg), fam,
                                               params, closest)
-        if closest:
-            assert np.array_equal(z, z_ref), name
-            assert np.array_equal(h, h_ref), name
-        else:
-            # member sums are added in another order; Z's final dot product
-            # with the mixed-sign w may cancel, so its tolerance is relative
-            # to the largest entry
-            np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=0, err_msg=name)
-            np.testing.assert_allclose(z, z_ref, rtol=1e-12,
-                                       atol=1e-12 * np.abs(z_ref).max(), err_msg=name)
+        _assert_close(z, h, z_ref, h_ref, name)
 
 
 @pytest.mark.parametrize("closest", [True, False])
@@ -239,19 +244,13 @@ def test_tape_nodes_per_forward_do_not_depend_on_k(closest):
         tape = Tape()
         pgnn_forward(tape, g, dm, fam, params, cfg)
         nodes.append(len(tape))
-    assert nodes == ([25, 25] if closest else [29, 29])
+    assert nodes == ([24, 24] if closest else [26, 26])
 
 
 def _assert_matches_reference(g, dm, fam, params, cfg, label):
     emb = pgnn_forward(Tape(), g, dm, fam, params, cfg)
     z_ref, h_ref = reference_pgnn_forward(g, dm, fam, params, cfg.closest_node_agg)
-    if cfg.closest_node_agg:
-        assert np.array_equal(emb.z.data, z_ref), label
-        assert np.array_equal(emb.h.data, h_ref), label
-    else:
-        np.testing.assert_allclose(emb.h.data, h_ref, rtol=1e-12, atol=0, err_msg=label)
-        np.testing.assert_allclose(emb.z.data, z_ref, rtol=1e-12,
-                                   atol=1e-12 * np.abs(z_ref).max(), err_msg=label)
+    _assert_close(emb.z.data, emb.h.data, z_ref, h_ref, label)
 
 
 def test_message_table_memo_follows_its_inputs():
@@ -272,20 +271,43 @@ def test_message_table_memo_follows_its_inputs():
         _assert_matches_reference(g, dist, fam, params, cfg, label)
 
 
-def _distinct_messages(dm, fam, closest):
-    """(node, member, reachable) triples of every message, from closest_members."""
-    triples = set()
-    for members in fam.sets:
-        if not members:
+def _slot_messages(dm, fam, closest):
+    """(node, member, reachable, hops) of every (node, set, member) slot.
+
+    Slots run node-major, then sets in provenance order, then members, with
+    the nearest member found by a float argmin; an unreachable member
+    becomes the node itself, at infinite hops.
+    """
+    own = np.arange(dm.n)
+    blocks = []
+    for m in sorted(range(fam.k), key=lambda m: (fam.provenance[m], m)):
+        mem = np.array(fam.sets[m], dtype=np.int64)
+        if mem.size == 0:
             continue
+        hops = np.where(dm.d[:, mem] == UNREACHABLE, np.inf, dm.d[:, mem])
+        mem = np.broadcast_to(mem, hops.shape)
         if closest:
-            choices = [closest_members(dm, members)[0]]
-        else:
-            choices = [np.where(dm.d[:, u] != UNREACHABLE, u, UNREACHABLE) for u in members]
-        for chosen in choices:
-            triples.update((v, v if u == UNREACHABLE else int(u), u != UNREACHABLE)
-                           for v, u in enumerate(chosen))
-    return len(triples)
+            pos = hops.argmin(axis=1)[:, None]
+            hops, mem = (np.take_along_axis(a, pos, axis=1) for a in (hops, mem))
+        reach = np.isfinite(hops)
+        blocks.append((np.where(reach, mem, own[:, None]), reach, hops))
+    u, reach, hops = (np.hstack(b) for b in zip(*blocks))
+    return np.repeat(own, u.shape[1]), u.ravel(), reach.ravel(), hops.ravel()
+
+
+@pytest.mark.parametrize("closest", [True, False])
+def test_message_table_dedupe_matches_np_unique(closest):
+    """The table's mark-array dedupe against a sorted ``np.unique`` of slot keys."""
+    for name, g, fam, cfg in _reference_cases(closest):
+        dm = make_distance_input(g, cfg)
+        v, u, reach, hops = _slot_messages(dm, fam, closest)
+        keys, first, inverse = np.unique(2 * (v * g.n + u) + reach, return_index=True,
+                                         return_inverse=True)
+        node, member, sim, row = _message_table(dm, fam, closest)[:4]
+        assert np.array_equal(node, keys // 2 // g.n), name
+        assert np.array_equal(member, keys // 2 % g.n), name
+        assert np.array_equal(row, inverse), name
+        assert np.array_equal(sim.ravel(), 1.0 / (hops[first] + 1.0)), name
 
 
 @pytest.mark.parametrize("closest", [True, False])
@@ -309,11 +331,14 @@ def test_each_distinct_message_is_computed_once(closest, monkeypatch):
         return out
 
     monkeypatch.setattr(Tape, "matmul", counting)
-    pgnn_forward(Tape(), g, dm, fam, params, cfg)
-    z = pgnn_forward(Tape(), g, dm, twice, params, cfg).z.data
+    once = pgnn_forward(Tape(), g, dm, fam, params, cfg)
+    emb = pgnn_forward(Tape(), g, dm, twice, params, cfg)
     # rows[0] and rows[3]: the first layer's message matmul of each forward
-    assert rows[0] == rows[3] == _distinct_messages(dm, fam, closest)
-    assert np.array_equal(z[:, :fam.k], z[:, fam.k:])
+    v, u, reach, _ = _slot_messages(dm, fam, closest)
+    assert rows[0] == rows[3] == len(set(zip(v, u, reach)))
+    assert np.array_equal(emb.z.data[:, :fam.k], emb.z.data[:, fam.k:])
+    # every use count and k double, so each message keeps its weight exactly
+    assert np.array_equal(emb.h.data, once.h.data)
 
 
 def test_closest_and_mean_aggregation_agree_on_singleton_sets():
