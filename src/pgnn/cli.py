@@ -106,27 +106,30 @@ def _kind_section(section: dict, path: str, specs: dict):
 
 
 def _parse_dataset(section: dict):
+    """The dataset's build, name, resolved section and whether it has labels."""
     kind, ds = _kind_section(section, "dataset.", _DATASETS)
     if kind == "grid":
         _check_dataset(check_grid, ds["rows"], ds["cols"])
         build = lambda: grid_graph(ds["rows"], ds["cols"])
-        name = f"grid-{ds['rows']}x{ds['cols']}"
+        name, labelled = f"grid-{ds['rows']}x{ds['cols']}", False
     elif kind == "communities":
         _check_dataset(check_caveman, ds["n_comm"], ds["comm_size"], ds["rewire_prob"],
                        ds["seed"])
         build = lambda: connected_caveman(ds["n_comm"], ds["comm_size"],
                                           ds["rewire_prob"], ds["seed"])
-        name = f"communities-{ds['n_comm']}x{ds['comm_size']}"
+        name, labelled = f"communities-{ds['n_comm']}x{ds['comm_size']}", True
     else:
+        labelled = bool(ds["labels_path"])
+
         def build():
             g = load_edge_list(ds["path"])
-            labels_path, features_path = ds["labels_path"], ds["features_path"]
-            labels = load_node_labels(labels_path, g.n) if labels_path else None
+            features_path = ds["features_path"]
+            labels = load_node_labels(ds["labels_path"], g.n) if labelled else None
             feats = load_feature_csv(features_path, g.n) if features_path else None
             return Graph(n=g.n, adjacency=g.adjacency, features=feats, labels=labels)
 
         name = os.path.splitext(os.path.basename(ds["path"]))[0]
-    return build, name, ds
+    return build, name, ds, labelled
 
 
 def _check_dataset(check, *args) -> None:
@@ -157,15 +160,13 @@ def _parse_run_config(path: str, seed: int | None = None, repeats: int | None = 
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     resolved = _section(raw, "", _ROOT)
-    build, name, resolved["dataset"] = _parse_dataset(resolved["dataset"])
+    build, name, resolved["dataset"], labelled = _parse_dataset(resolved["dataset"])
     for key, allowed in (("task", TASKS), ("setting", SETTINGS)):
         if resolved[key] not in allowed:
             raise ConfigError(f"config key {key} has unsupported value {resolved[key]!r}")
-    ds = resolved["dataset"]  # only communities and labelled edge lists have labels
-    if (resolved["task"] == "pairwise_node_classification" and ds["kind"] != "communities"
-            and not ds.get("labels_path")):
-        hint = "set dataset.labels_path" if ds["kind"] == "edge_list" else "a grid has none"
-        raise ConfigError(f"pairwise_node_classification needs node labels: {hint}")
+    if resolved["task"] == "pairwise_node_classification" and not labelled:
+        raise ConfigError(f"pairwise_node_classification needs node labels, and dataset "
+                          f"{resolved['dataset']['kind']} has none")
     split = resolved["split"] = _section(resolved["split"], "split.", _SPLIT)
     model_cfg, resolved["model"] = _parse_model(resolved["model"])
     train = resolved["train"] = _section(resolved["train"], "train.",
@@ -262,7 +263,7 @@ def _dataset_section(args) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    build, _, ds = _parse_dataset(_dataset_section(args))
+    build, _, ds, _ = _parse_dataset(_dataset_section(args))
     g = build()
     if ds["kind"] == "grid":
         write_edge_list(args.out, g, f"grid {ds['rows']}x{ds['cols']}")
@@ -354,7 +355,7 @@ def _cmd_distortion(args) -> int:
         raise ConfigError(f"--anchor-c must be finite and > 0, got {args.anchor_c}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    build, name, ds = _parse_dataset(_dataset_section(args))
+    build, name, ds, _ = _parse_dataset(_dataset_section(args))
     if ds["kind"] == "grid" and ds["rows"] * ds["cols"] < 2:
         raise ConfigError("distortion needs at least 2 nodes, got dataset.rows x "
                           f"dataset.cols = {ds['rows']}x{ds['cols']}")

@@ -152,19 +152,13 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
             columns.append((np.broadcast_to(mem, (n, mem.size)), dm.d[:, mem]))
     widths = np.array([u.shape[1] for u, _ in columns])
     u, d = (np.hstack(parts) for parts in zip(*columns))
-    key = (2 * (own * n + np.where(d != UNREACHABLE, u, own)) + (d != UNREACHABLE)).ravel()
-    seen = np.zeros(2 * n * n, dtype=bool)  # keys lie in [0, 2n^2): mark, no sort
-    seen[key] = True
-    distinct = np.flatnonzero(seen)
-    rank = np.empty(seen.size, dtype=np.int64)
-    rank[distinct] = np.arange(distinct.size)
-    row = rank[key]
-    hops = np.empty(distinct.size, dtype=d.dtype)
-    hops[row] = d.ravel()  # equal keys have equal hop counts
+    key = 2 * (own * n + np.where(d != UNREACHABLE, u, own)) + (d != UNREACHABLE)
+    key, first, row = np.unique(key, return_index=True, return_inverse=True)
+    row = row.ravel()
     size = np.tile(np.repeat(widths, widths), n)  # each slot's pair width
-    uses = sum((np.bincount(row[size == m], minlength=distinct.size) / m
-                for m in np.unique(widths[widths > 0])), np.zeros(distinct.size))
-    out = (distinct // 2 // n, distinct // 2 % n, similarity(hops).reshape(-1, 1), row,
+    uses = sum((np.bincount(row[size == m], minlength=key.size) / m
+                for m in np.unique(widths[widths > 0])), np.zeros(key.size))
+    out = (key // 2 // n, key // 2 % n, similarity(d.ravel()[first]).reshape(-1, 1), row,
            (uses / k).reshape(-1, 1), (1.0 / size).reshape(-1, 1),
            np.repeat(np.arange(n * np.count_nonzero(widths)), np.tile(widths[widths > 0], n)),
            (own * k + order[widths > 0]).ravel())

@@ -241,9 +241,9 @@ _BAD_CONFIGS = [
      "dataset.seed must be >= 0, got -1"),
     ("edge-list-pairs-no-labels",
      {"task": "pairwise_node_classification", "dataset": {"kind": "edge_list", "path": "x.edges"}},
-     "pairwise_node_classification needs node labels: set dataset.labels_path"),
+     "pairwise_node_classification needs node labels, and dataset edge_list has none"),
     ("grid-pairs", {"task": "pairwise_node_classification"},
-     "pairwise_node_classification needs node labels: a grid has none"),
+     "pairwise_node_classification needs node labels, and dataset grid has none"),
     ("dataset-not-object", {"dataset": []}, "config key dataset must be an object"),
     ("split-not-object", {"split": 3}, "config key split must be an object"),
     ("model-not-object", {"model": "pgnn"}, "config key model must be an object"),
