@@ -180,6 +180,10 @@ def _parse_run_config(path: str, seed: int | None = None, repeats: int | None = 
         check_split(*split.values())
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for key in ("val_frac", "test_frac"):
+        if split[key] == 0:
+            raise ConfigError(f"split.{key} must be > 0, got {split[key]}: "
+                              "an empty split has no AUC")
     return (build, name, resolved["task"], tuple(split.values()), model_cfg, train_cfg,
             resolved)
 
@@ -297,11 +301,20 @@ def _named_matrices(model_resolved: dict, arrays) -> list:
     return list(zip(names, arrays))
 
 
+def _build_split(build, name, task, split_args):
+    """The dataset's graph and its pair split; a split that this graph cannot
+    populate is a config error."""
+    g = build()
+    try:
+        return g, split_pairs(g, task, *split_args)
+    except ValueError as exc:
+        raise ConfigError(f"dataset {name} cannot be split: {exc}") from None
+
+
 def _cmd_train(args) -> int:
     (build, name, task, split_args, model_cfg, train_cfg,
      resolved) = _parse_run_config(args.config, args.seed, args.repeats)
-    g = build()
-    split = split_pairs(g, task, *split_args)
+    g, split = _build_split(build, name, task, split_args)
     t0 = time.perf_counter()
     metrics = run_experiment(g, split, model_cfg, train_cfg, dataset=name)
     elapsed = time.perf_counter() - t0
@@ -331,8 +344,7 @@ def _cmd_eval(args) -> int:
         if header[key] != ours:
             raise ConfigError(f"config {key} {ours!r} does not match "
                               f"checkpoint {key} {header[key]!r}")
-    g = build()
-    split = split_pairs(g, task, *split_args)
+    g, split = _build_split(build, name, task, split_args)
     val_auc, test_auc = evaluate(g, split, model_cfg, train_cfg.setting, arrays,
                                  header["anchor_seed"])
     payload = {

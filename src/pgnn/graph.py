@@ -352,32 +352,29 @@ def _positive_universe(g: Graph, task: Task) -> list[Pair]:
     raise ValueError(f"unknown task {task!r}")
 
 
-def _sample_negatives(g: Graph, task: Task, pos: set[Pair], count: int,
+def _sample_negatives(n: int, pos: list[Pair], count: int,
                       rng: np.random.Generator) -> list[Pair]:
-    """Uniform sample without replacement from the complement universe."""
-    total_pairs = g.n * (g.n - 1) // 2
-    complement_size = total_pairs - len(pos)
+    """``count`` pairs drawn uniformly without replacement from the complement
+    of ``pos`` among all (u, v), u < v, of ``n`` nodes.
+
+    Pairs are indexed in row-major upper-triangle order, where ``first[u]``
+    is the index of (u, u + 1).  Uniform ranks of the complement are drawn,
+    and each is mapped to its pair index by counting the positives that come
+    before it; the complement itself is never built.
+    """
+    first = np.arange(n, dtype=np.int64)
+    first = first * (2 * n - first - 1) // 2
+    ends = np.array(pos, dtype=np.int64).reshape(-1, 2)
+    taken = np.sort(first[ends[:, 0]] + ends[:, 1] - ends[:, 0] - 1)
+    complement_size = n * (n - 1) // 2 - len(taken)
     if count > complement_size:
         raise ValueError(
             f"cannot sample {count} negatives from a complement of {complement_size}")
-    if total_pairs <= 500_000:
-        iu, ju = np.triu_indices(g.n, k=1)
-        comp = [(int(a), int(b)) for a, b in zip(iu, ju) if (int(a), int(b)) not in pos]
-        picked = rng.choice(len(comp), size=count, replace=False)
-        return [comp[i] for i in picked]
-    out: list[Pair] = []
-    taken: set[Pair] = set()
-    while len(out) < count:
-        u = int(rng.integers(g.n))
-        v = int(rng.integers(g.n))
-        if u == v:
-            continue
-        pair = (min(u, v), max(u, v))
-        if pair in pos or pair in taken:
-            continue
-        taken.add(pair)
-        out.append(pair)
-    return out
+    rank = rng.choice(complement_size, size=count, replace=False)
+    idx = rank + np.searchsorted(taken - np.arange(len(taken)), rank, "right")
+    u = np.searchsorted(first, idx, "right") - 1
+    v = idx - first[u] + u + 1
+    return list(zip(u.tolist(), v.tolist()))
 
 
 def check_split(val_frac: float, test_frac: float, seed: int) -> None:
@@ -394,10 +391,10 @@ def split_pairs(g: Graph, task: Task, val_frac: float, test_frac: float,
     """Partition positive pairs into train/val/test and sample negatives.
 
     Fractions are rounded down, but a split with a positive fraction gets at
-    least one pair; whatever remains goes to train.  Negatives are drawn
-    uniformly without replacement from the complement universe (non-edges
-    for link prediction, different-label pairs for pairwise classification),
-    one per positive in each split.
+    least one pair; whatever remains goes to train.  Negatives are uniform
+    ranks of the complement universe (non-edges for link prediction,
+    different-label pairs for pairwise classification), drawn without
+    replacement and mapped to their pairs, one per positive in each split.
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
@@ -424,7 +421,7 @@ def split_pairs(g: Graph, task: Task, val_frac: float, test_frac: float,
     test_pos = shuffled[n_val:n_val + n_test]
     train_pos = shuffled[n_val + n_test:]
 
-    negatives = _sample_negatives(g, task, set(pos), total, rng)
+    negatives = _sample_negatives(g.n, pos, total, rng)
     val_neg = negatives[:n_val]
     test_neg = negatives[n_val:n_val + n_test]
     train_neg = negatives[n_val + n_test:]

@@ -130,3 +130,13 @@ def reference_gcn_forward(g: Graph, weights):
             acc = acc + msg[idx] * np.array(scale)
         h = acc
     return h
+
+
+def dense_negatives(n: int, pos, count: int, rng):
+    """Negatives by listing the whole complement of ``pos`` in upper-triangle
+    order and drawing ``count`` of its positions without replacement."""
+    taken = set(pos)
+    iu, ju = np.triu_indices(n, k=1)
+    comp = [(int(a), int(b)) for a, b in zip(iu, ju) if (int(a), int(b)) not in taken]
+    picked = rng.choice(len(comp), size=count, replace=False)
+    return [comp[i] for i in picked]

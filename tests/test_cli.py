@@ -218,6 +218,17 @@ _BAD_CONFIGS = [
      "bad split fractions val=0.5 test=0.5"),
     ("split-negative", {"split": {"val_frac": -0.1}}, "bad split fractions val=-0.1 test=0.1"),
     ("split-seed", {"split": {"seed": -1}}, "split.seed must be >= 0, got -1"),
+    ("split-val-zero", {"split": {"val_frac": 0}},
+     "split.val_frac must be > 0, got 0.0: an empty split has no AUC"),
+    ("split-test-zero", {"split": {"test_frac": 0.0}},
+     "split.test_frac must be > 0, got 0.0: an empty split has no AUC"),
+    ("split-no-pairs", {"dataset": {"kind": "grid", "rows": 1, "cols": 1}},
+     "dataset grid-1x1 cannot be split: no positive pairs to split"),
+    ("split-too-few-pairs", {"dataset": {"kind": "grid", "rows": 1, "cols": 3}},
+     "dataset grid-1x3 cannot be split: too few positive pairs (2) to populate all splits"),
+    ("split-too-few-negatives",
+     {"dataset": {"kind": "grid", "rows": 2, "cols": 2}, "split": {"val_frac": 0.3}},
+     "dataset grid-2x2 cannot be split: cannot sample 4 negatives from a complement of 2"),
     ("train-seed", {"train": {"seed": -2}}, "seed must be >= 0, got -2"),
     ("lr", {"train": {"lr": 0}}, "lr must be finite and > 0, got 0.0"),
     ("anchor-c", {"model": {"kind": "pgnn", "anchor_c": -1}},
@@ -265,6 +276,77 @@ def test_malformed_config_exits_1_with_its_error(tmp_path, capsys, overrides, me
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.json")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "m.json").exists()
+
+
+def _random_config(rng, tmp_path) -> dict:
+    """A small config drawn from ``rng``: any dataset kind, task, setting and model.
+
+    Edge lists are written to ``tmp_path`` as well-formed files; their graphs
+    may be disconnected or have isolated nodes."""
+    def pick(*options):
+        return options[int(rng.integers(len(options)))]
+
+    kind = pick("grid", "communities", "edge_list")
+    if kind == "grid":
+        dataset = {"kind": kind, "rows": pick(1, 2, 3, 4), "cols": pick(1, 2, 3, 4)}
+    elif kind == "communities":
+        dataset = {"kind": kind, "n_comm": pick(2, 3), "comm_size": pick(2, 3, 4),
+                   "rewire_prob": pick(0.0, 0.01, 0.5), "seed": pick(0, 1, 2)}
+    else:
+        n = pick(2, 3, 5, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        keep = rng.random(len(pairs)) < 0.4
+        keep[int(rng.integers(len(pairs)))] = True
+        (tmp_path / "g.edges").write_text(
+            "".join(f"{u} {v}\n" for (u, v), k in zip(pairs, keep) if k))
+        dataset = {"kind": kind, "path": str(tmp_path / "g.edges")}
+        # the graph has 1 + the largest id seen nodes, which the files must cover
+        n = 1 + max(v for (u, v), k in zip(pairs, keep) if k)
+        if pick(True, False):
+            (tmp_path / "g.labels").write_text(
+                "".join(f"{i} {pick(0, 1, 2)}\n" for i in range(n)))
+            dataset["labels_path"] = str(tmp_path / "g.labels")
+        if pick(True, False):
+            np.savetxt(tmp_path / "g.csv", rng.normal(size=(n, 2)), delimiter=",")
+            dataset["features_path"] = str(tmp_path / "g.csv")
+    if pick("pgnn", "gcn") == "pgnn":
+        model = {"kind": "pgnn", "layers": pick(1, 2), "message_dim": pick(2, 4),
+                 "anchor_c": pick(0.5, 1.0, 2.0), "variant": pick("exact", "fast"),
+                 "closest_node_agg": pick(True, False),
+                 "resample_anchors": pick(True, False)}
+    else:
+        model = {"kind": "gcn", "layers": pick(1, 2), "message_dim": pick(2, 4)}
+    return {"dataset": dataset,
+            "task": pick("link_prediction", "pairwise_node_classification"),
+            "setting": pick("inductive", "transductive"),
+            "split": {"val_frac": pick(0.0, 0.1, 0.2, 0.3),
+                      "test_frac": pick(0.0, 0.1, 0.2, 0.3),
+                      "seed": pick(0, 1, 2)},
+            "model": model,
+            "train": {"epochs": pick(0, 1, 2), "repeats": pick(1, 2), "seed": pick(0, 1, 2)}}
+
+
+def test_accepted_configs_run_or_exit_1(tmp_path, capsys):
+    """Seeded random configs: each is rejected with exit 1, or trains, and then
+    its checkpoint evaluates to the selected repeat's test AUC."""
+    rng = np.random.default_rng(0)
+    cfg, mpath, ckpt, epath = (tmp_path / name for name in
+                               ("cfg.json", "m.json", "m.ckpt", "e.json"))
+    ran = 0
+    for _ in range(400):
+        cfg.write_text(json.dumps(_random_config(rng, tmp_path)))
+        code = main(["train", "--config", str(cfg), "--out", str(mpath)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (cfg.read_text(), err)
+        if code == 1:
+            continue
+        ran += 1
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(epath)]) == 0, (cfg.read_text(), capsys.readouterr().err)
+        best = max(json.loads(mpath.read_text())["per_repeat"],
+                   key=lambda r: (r["val_auc"], -r["repeat"]))
+        assert json.loads(epath.read_text())["test_auc"] == best["test_auc"]
+    assert ran >= 80
 
 
 def test_eval_rejects_a_model_other_than_the_checkpoints(tmp_path, capsys):

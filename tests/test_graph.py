@@ -3,6 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from helpers import dense_negatives
+from pgnn import graph
 from pgnn.graph import (
     EdgeListFormatError,
     Graph,
@@ -257,8 +259,9 @@ def test_split_link_prediction_partitions_edges():
         assert (u, v) not in edge_set
 
 
-def test_split_negatives_by_rejection_sampling_on_a_large_graph():
-    # 1024 nodes give 523,776 pairs, past the enumerate-the-complement limit
+def test_split_negatives_on_a_large_graph():
+    # 1024 nodes give 523,776 pairs: above 500,000, where negatives were once
+    # drawn by rejection and so differ from earlier versions' splits
     g = grid_graph(32, 32)
     assert g.n * (g.n - 1) // 2 > 500_000
     split = split_pairs(g, "link_prediction", 0.1, 0.1, seed=0)
@@ -272,6 +275,34 @@ def test_split_negatives_by_rejection_sampling_on_a_large_graph():
                       (split.test_pos, split.test_neg)):
         assert len(negs) == len(pos) > 0
     assert split_pairs(g, "link_prediction", 0.1, 0.1, seed=0) == split
+
+
+@pytest.mark.parametrize("g, task", [
+    (grid_graph(20, 20), "link_prediction"),
+    (connected_caveman(20, 20, 0.01, seed=0), "pairwise_node_classification"),
+    (connected_caveman(8, 8, 0.01, seed=0), "pairwise_node_classification"),
+    (grid_graph(5, 5), "link_prediction"),
+    (Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), "link_prediction"),
+    (grid_graph(31, 32), "link_prediction"),
+], ids=["grid-20x20", "communities-20x20", "communities-8x8", "grid-5x5", "path-4",
+        "grid-31x32"])
+def test_split_negatives_match_the_listed_complement(monkeypatch, g, task):
+    """Ranks mapped to pairs give the split, and leave the generator, exactly as
+    listing the complement and drawing positions from it does."""
+    def run(sampler, seed):
+        rngs = []
+
+        def spy(n, pos, count, rng):
+            rngs.append(rng)
+            return sampler(n, pos, count, rng)
+
+        monkeypatch.setattr(graph, "_sample_negatives", spy)
+        split = split_pairs(g, task, 0.1, 0.1, seed=seed)
+        return split, rngs[0].random()
+
+    real = graph._sample_negatives
+    for seed in range(5):
+        assert run(real, seed) == run(dense_negatives, seed)
 
 
 def test_split_pairwise_uses_label_pairs():
