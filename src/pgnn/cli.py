@@ -9,6 +9,7 @@ to stderr only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from .tensor import Tape
 from .train import SETTINGS, TrainConfig, evaluate, model_label, run_experiment
 
 CHECKPOINT_MAGIC = b"PGNNCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -139,16 +140,6 @@ def _check_dataset(check, *args) -> None:
         raise ConfigError(f"dataset.{exc}") from None
 
 
-def _parse_model(section: dict):
-    kind, model = _kind_section(section, "model.",
-                                {kind: _fields(cls) for kind, cls in _MODELS.items()})
-    try:
-        cfg = _MODELS[kind](**{k: v for k, v in model.items() if k != "kind"})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg, model
-
-
 def _parse_run_config(path: str, seed: int | None = None, repeats: int | None = None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -168,7 +159,8 @@ def _parse_run_config(path: str, seed: int | None = None, repeats: int | None = 
         raise ConfigError(f"pairwise_node_classification needs node labels, and dataset "
                           f"{resolved['dataset']['kind']} has none")
     split = resolved["split"] = _section(resolved["split"], "split.", _SPLIT)
-    model_cfg, resolved["model"] = _parse_model(resolved["model"])
+    kind, resolved["model"] = _kind_section(
+        resolved["model"], "model.", {kind: _fields(cls) for kind, cls in _MODELS.items()})
     train = resolved["train"] = _section(resolved["train"], "train.",
                                          _fields(TrainConfig, skip="setting"))
     if seed is not None:
@@ -176,6 +168,7 @@ def _parse_run_config(path: str, seed: int | None = None, repeats: int | None = 
     if repeats is not None:
         train["repeats"] = repeats
     try:
+        model_cfg = _MODELS[kind](**{k: v for k, v in resolved["model"].items() if k != "kind"})
         train_cfg = TrainConfig(**train, setting=resolved["setting"])
         check_split(*split.values())
     except ValueError as exc:
@@ -184,8 +177,22 @@ def _parse_run_config(path: str, seed: int | None = None, repeats: int | None = 
         if split[key] == 0:
             raise ConfigError(f"split.{key} must be > 0, got {split[key]}: "
                               "an empty split has no AUC")
-    return (build, name, resolved["task"], tuple(split.values()), model_cfg, train_cfg,
-            resolved)
+    return build, name, model_cfg, train_cfg, resolved, _run_identity(resolved)
+
+
+def _run_identity(resolved: dict) -> dict:
+    """What ties a checkpoint to its run: the resolved config but its ``train``
+    section, and ``sha256``, the digest of each dataset file by its key."""
+    identity = {key: value for key, value in resolved.items() if key != "train"}
+    identity["sha256"] = {}
+    for key, path in resolved["dataset"].items():
+        if key.endswith("path") and path is not None:
+            try:
+                with open(path, "rb") as fh:
+                    identity["sha256"][key] = hashlib.sha256(fh.read()).hexdigest()
+            except OSError as exc:
+                raise ConfigError(f"cannot read dataset.{key}: {exc}") from None
+    return identity
 
 
 # ----------------------------------------------------------------------
@@ -280,18 +287,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _checkpoint_header(task, name, setting, model_resolved, best) -> dict:
-    return {
-        "task": task,
-        "dataset": name,
-        "setting": setting,
-        "model_config": model_resolved,
-        "anchor_seed": best.anchor_seed,
-        "best_epoch": best.best_epoch,
-        "repeat": best.repeat,
-    }
-
-
 def _named_matrices(model_resolved: dict, arrays) -> list:
     """(name, array) pairs; a PGNN list holds a (w_msg, w) pair per layer."""
     if model_resolved["kind"] == "pgnn":
@@ -301,20 +296,23 @@ def _named_matrices(model_resolved: dict, arrays) -> list:
     return list(zip(names, arrays))
 
 
-def _build_split(build, name, task, split_args):
-    """The dataset's graph and its pair split; a split that this graph cannot
-    populate is a config error."""
-    g = build()
+def _build_split(build, name, resolved):
+    """The dataset's graph and its pair split; a dataset file that cannot be
+    loaded, or a split that this graph cannot populate, is a config error."""
     try:
-        return g, split_pairs(g, task, *split_args)
+        g = build()
+    except ValueError as exc:
+        raise ConfigError(f"dataset {name} cannot be loaded: {exc}") from None
+    try:
+        return g, split_pairs(g, resolved["task"], *resolved["split"].values())
     except ValueError as exc:
         raise ConfigError(f"dataset {name} cannot be split: {exc}") from None
 
 
 def _cmd_train(args) -> int:
-    (build, name, task, split_args, model_cfg, train_cfg,
-     resolved) = _parse_run_config(args.config, args.seed, args.repeats)
-    g, split = _build_split(build, name, task, split_args)
+    build, name, model_cfg, train_cfg, resolved, identity = _parse_run_config(
+        args.config, args.seed, args.repeats)
+    g, split = _build_split(build, name, resolved)
     t0 = time.perf_counter()
     metrics = run_experiment(g, split, model_cfg, train_cfg, dataset=name)
     elapsed = time.perf_counter() - t0
@@ -324,31 +322,28 @@ def _cmd_train(args) -> int:
     _write_json(args.out, payload)
     best = max(metrics.per_repeat, key=lambda r: (r.val_auc, -r.repeat))
     ckpt_path = args.checkpoint or os.path.splitext(args.out)[0] + ".ckpt"
-    save_checkpoint(ckpt_path,
-                    _checkpoint_header(task, name, train_cfg.setting,
-                                       resolved["model"], best),
+    save_checkpoint(ckpt_path, {**identity, "anchor_seed": best.anchor_seed,
+                                "best_epoch": best.best_epoch, "repeat": best.repeat},
                     _named_matrices(resolved["model"], best.snapshot))
     print(f"wall_time_s={elapsed:.3f}", file=sys.stderr)
     return 0
 
 
 def _cmd_eval(args) -> int:
-    (build, name, task, split_args, config_model, train_cfg,
-     resolved) = _parse_run_config(args.config)
-    header, arrays = load_checkpoint(args.checkpoint)
-    model_cfg, ckpt_model = _parse_model(header["model_config"])
-    if resolved["model"] != ckpt_model:
-        raise ConfigError(f"config model {model_label(config_model)} {resolved['model']} does "
-                          f"not match checkpoint model {model_label(model_cfg)} {ckpt_model}")
-    for key, ours in (("task", task), ("dataset", name), ("setting", train_cfg.setting)):
-        if header[key] != ours:
+    build, name, model_cfg, train_cfg, resolved, identity = _parse_run_config(args.config)
+    try:
+        header, arrays = load_checkpoint(args.checkpoint)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read checkpoint: {exc}") from None
+    for key, ours in identity.items():
+        if header.get(key) != ours:
             raise ConfigError(f"config {key} {ours!r} does not match "
-                              f"checkpoint {key} {header[key]!r}")
-    g, split = _build_split(build, name, task, split_args)
+                              f"checkpoint {key} {header.get(key)!r}")
+    g, split = _build_split(build, name, resolved)
     val_auc, test_auc = evaluate(g, split, model_cfg, train_cfg.setting, arrays,
                                  header["anchor_seed"])
     payload = {
-        "task": task,
+        "task": resolved["task"],
         "dataset": name,
         "model": model_label(model_cfg),
         "setting": train_cfg.setting,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -68,8 +69,11 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert payload["config"]["dataset"] == {"kind": "grid", "rows": 6, "cols": 6}
 
     header, arrays = load_checkpoint(str(tmp_path / "metrics.ckpt"))
+    assert sorted(header) == ["anchor_seed", "best_epoch", "dataset", "matrices", "model",
+                              "repeat", "setting", "sha256", "split", "task"]
     assert header["task"] == "link_prediction"
-    assert header["model_config"]["kind"] == "pgnn"
+    assert header["model"]["kind"] == "pgnn"
+    assert header["sha256"] == {}
     assert [m["name"] for m in header["matrices"]] == [
         "layer0.w_msg", "layer0.w", "layer1.w_msg", "layer1.w"]
     assert arrays[0].shape == (2, 8)
@@ -278,6 +282,37 @@ def test_malformed_config_exits_1_with_its_error(tmp_path, capsys, overrides, me
     assert not (tmp_path / "m.json").exists()
 
 
+# (id, {file name: content}, dataset keys naming those files, exact stderr
+# message); {tmp} is tmp_path. A file the dataset names but the dict lacks is
+# never written.
+_BAD_DATASET_FILES = [
+    ("missing", {}, {"path": "g.edges"},
+     "cannot read dataset.path: [Errno 2] No such file or directory: '{tmp}/g.edges'"),
+    ("empty", {"g.edges": "# no edges\n"}, {"path": "g.edges"},
+     "dataset g cannot be loaded: {tmp}/g.edges: edge list is empty"),
+    ("format", {"g.edges": "0 1\n1 2 3\n"}, {"path": "g.edges"},
+     "dataset g cannot be loaded: {tmp}/g.edges:2: expected two fields, got 3"),
+    ("labels", {"g.edges": "0 1\n1 2\n", "g.labels": "0 0\n1 1\n"},
+     {"path": "g.edges", "labels_path": "g.labels"},
+     "dataset g cannot be loaded: {tmp}/g.labels: no label for node 2"),
+    ("features", {"g.edges": "0 1\n1 2\n", "g.csv": "1.0\n2.0\n"},
+     {"path": "g.edges", "features_path": "g.csv"},
+     "dataset g cannot be loaded: {tmp}/g.csv: 2 feature rows for 3 nodes"),
+]
+
+
+@pytest.mark.parametrize("files, dataset, message", [c[1:] for c in _BAD_DATASET_FILES],
+                         ids=[c[0] for c in _BAD_DATASET_FILES])
+def test_bad_dataset_file_exits_1_with_its_error(tmp_path, capsys, files, dataset, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    cfg = write_config(tmp_path / "cfg.json", dataset={
+        "kind": "edge_list", **{key: str(tmp_path / name) for key, name in dataset.items()}})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def _random_config(rng, tmp_path) -> dict:
     """A small config drawn from ``rng``: any dataset kind, task, setting and model.
 
@@ -326,12 +361,16 @@ def _random_config(rng, tmp_path) -> dict:
             "train": {"epochs": pick(0, 1, 2), "repeats": pick(1, 2), "seed": pick(0, 1, 2)}}
 
 
-def test_accepted_configs_run_or_exit_1(tmp_path, capsys):
+def test_accepted_configs_run_or_exit_1(tmp_path, capsys, monkeypatch):
     """Seeded random configs: each is rejected with exit 1, or trains, and then
-    its checkpoint evaluates to the selected repeat's test AUC."""
+    its checkpoint evaluates to the selected repeat's test AUC, and is rejected
+    under another split seed before any graph is built."""
+    def no_build(*args):
+        raise AssertionError("graph built before the checkpoint was checked")
+
     rng = np.random.default_rng(0)
-    cfg, mpath, ckpt, epath = (tmp_path / name for name in
-                               ("cfg.json", "m.json", "m.ckpt", "e.json"))
+    cfg, other, mpath, ckpt, epath = (tmp_path / name for name in
+                                      ("cfg.json", "other.json", "m.json", "m.ckpt", "e.json"))
     ran = 0
     for _ in range(400):
         cfg.write_text(json.dumps(_random_config(rng, tmp_path)))
@@ -346,6 +385,15 @@ def test_accepted_configs_run_or_exit_1(tmp_path, capsys):
         best = max(json.loads(mpath.read_text())["per_repeat"],
                    key=lambda r: (r["val_auc"], -r["repeat"]))
         assert json.loads(epath.read_text())["test_auc"] == best["test_auc"]
+        raw = json.loads(cfg.read_text())
+        raw["split"]["seed"] += 1
+        other.write_text(json.dumps(raw))
+        with monkeypatch.context() as patch:
+            for builder in ("grid_graph", "connected_caveman", "load_edge_list"):
+                patch.setattr(cli, builder, no_build)
+            assert main(["eval", "--config", str(other), "--checkpoint", str(ckpt),
+                         "--out", str(epath)]) == 1
+        assert capsys.readouterr().err.startswith("error: config split ")
     assert ran >= 80
 
 
@@ -353,23 +401,38 @@ def test_eval_rejects_a_model_other_than_the_checkpoints(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        model={"kind": "gcn", "layers": 2, "message_dim": 8})
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
+    capsys.readouterr()
     other = write_config(tmp_path / "other.json",
                          model={"kind": "pgnn", "layers": 3, "message_dim": 4})
     epath = tmp_path / "e.json"
     assert main(["eval", "--config", other, "--checkpoint", str(tmp_path / "m.ckpt"),
                  "--out", str(epath)]) == 1
-    err = capsys.readouterr().err
-    assert "pgnn-e-3l" in err and "gcn-2l" in err
+    assert capsys.readouterr().err == (
+        "error: config model {'kind': 'pgnn', 'layers': 3, 'anchor_c': 1.0, "
+        "'variant': 'exact', 'message_dim': 4, 'closest_node_agg': True, "
+        "'resample_anchors': True} does not match checkpoint model "
+        "{'kind': 'gcn', 'layers': 2, 'message_dim': 8}\n")
     assert not epath.exists()
 
 
 def test_eval_rejects_a_setting_other_than_the_checkpoints(tmp_path, capsys, monkeypatch):
-    """So is a task or dataset other than the checkpoint's, before any graph is built."""
+    """So is any other task, dataset, split or dataset file content, before any
+    graph is built. The checkpoint's sections print in sorted key order."""
     def no_build(*args):
         raise AssertionError("graph built before the checkpoint was checked")
 
+    # every row trains with g.edges holding a 4x5 grid and evaluates with it
+    # rewritten in place as a 5x4 grid; only the edge-list rows read it
+    edges, moved = tmp_path / "g.edges", tmp_path / "other" / "g.edges"
+    moved.parent.mkdir()
+    assert main(["generate", "grid", "4", "5", "--out", str(moved)]) == 0
+    assert main(["generate", "grid", "5", "4", "--out", str(edges)]) == 0
+    before, after = moved.read_bytes(), edges.read_bytes()
+    el = {"kind": "edge_list", "path": str(edges)}
     gcn = {"kind": "gcn", "layers": 2, "message_dim": 8}
     cave = {"kind": "communities", "n_comm": 3, "comm_size": 4}
+    small = {"setting": "transductive", "model": gcn,
+             "dataset": {"kind": "grid", "rows": 5, "cols": 5}}
     # (train config overrides, eval config overrides, the difference reported)
     for trained, evaluated, key, ours, theirs in (
             ({"setting": "transductive"}, {"setting": "inductive"},
@@ -377,25 +440,66 @@ def test_eval_rejects_a_setting_other_than_the_checkpoints(tmp_path, capsys, mon
             ({"setting": "transductive", "model": gcn,
               "dataset": {"kind": "grid", "rows": 4, "cols": 4}},
              {"dataset": {"kind": "grid", "rows": 5, "cols": 4}},
-             "dataset", "grid-5x4", "grid-4x4"),
+             "dataset", {"kind": "grid", "rows": 5, "cols": 4},
+             {"cols": 4, "kind": "grid", "rows": 4}),
             ({"task": "pairwise_node_classification", "dataset": cave},
              {"task": "link_prediction"}, "task", "link_prediction",
              "pairwise_node_classification"),
-            ({"dataset": cave}, {"dataset": {**cave, "comm_size": 5}},
-             "dataset", "communities-3x5", "communities-3x4")):
+            ({"dataset": cave}, {"dataset": {**cave, "comm_size": 5}}, "dataset",
+             {"kind": "communities", "n_comm": 3, "comm_size": 5, "rewire_prob": 0.01,
+              "seed": 0},
+             {"comm_size": 4, "kind": "communities", "n_comm": 3, "rewire_prob": 0.01,
+              "seed": 0}),
+            ({"dataset": cave}, {"dataset": {**cave, "rewire_prob": 0.5}}, "dataset",
+             {"kind": "communities", "n_comm": 3, "comm_size": 4, "rewire_prob": 0.5,
+              "seed": 0},
+             {"comm_size": 4, "kind": "communities", "n_comm": 3, "rewire_prob": 0.01,
+              "seed": 0}),
+            (small, {"split": {"test_frac": 0.3}}, "split",
+             {"val_frac": 0.1, "test_frac": 0.3, "seed": 0},
+             {"seed": 0, "test_frac": 0.1, "val_frac": 0.1}),
+            (small, {"split": {"seed": 7}}, "split",
+             {"val_frac": 0.1, "test_frac": 0.1, "seed": 7},
+             {"seed": 0, "test_frac": 0.1, "val_frac": 0.1}),
+            ({"dataset": el}, {"dataset": {**el, "path": str(moved)}}, "dataset",
+             {"kind": "edge_list", "path": str(moved), "labels_path": None,
+              "features_path": None},
+             {"features_path": None, "kind": "edge_list", "labels_path": None,
+              "path": str(edges)}),
+            ({"dataset": el}, {}, "sha256", {"path": hashlib.sha256(after).hexdigest()},
+             {"path": hashlib.sha256(before).hexdigest()})):
+        edges.write_bytes(before)
         cfg = write_config(tmp_path / "cfg.json", **trained)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
         capsys.readouterr()
+        edges.write_bytes(after)
         other = write_config(tmp_path / "other.json", **{**trained, **evaluated})
         epath = tmp_path / "e.json"
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "grid_graph", no_build)
-            patch.setattr(cli, "connected_caveman", no_build)
+            for builder in ("grid_graph", "connected_caveman", "load_edge_list"):
+                patch.setattr(cli, builder, no_build)
             assert main(["eval", "--config", other, "--checkpoint", str(tmp_path / "m.ckpt"),
                          "--out", str(epath)]) == 1
         assert capsys.readouterr().err == (f"error: config {key} {ours!r} does not match "
                                            f"checkpoint {key} {theirs!r}\n")
         assert not epath.exists()
+
+
+def test_eval_rejects_an_unreadable_checkpoint(tmp_path, capsys):
+    """A missing checkpoint, or one of another format version, exits 1."""
+    cfg = write_config(tmp_path / "cfg.json")
+    missing = tmp_path / "nope.ckpt"
+    assert main(["eval", "--config", cfg, "--checkpoint", str(missing)]) == 1
+    assert capsys.readouterr().err == ("error: cannot read checkpoint: [Errno 2] No such "
+                                       f"file or directory: '{missing}'\n")
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(str(old), {}, [])
+    blob = bytearray(old.read_bytes())
+    blob[8:12] = (1).to_bytes(4, "little")
+    old.write_bytes(bytes(blob))
+    assert main(["eval", "--config", cfg, "--checkpoint", str(old)]) == 1
+    assert capsys.readouterr().err == (f"error: cannot read checkpoint: {old}: "
+                                       "unsupported checkpoint version 1\n")
 
 
 @pytest.mark.parametrize("kind", ["grid", "communities", "edge_list"])
