@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +41,8 @@ class DistanceMatrix:
             raise ValueError("distance matrix must be int64")
         if np.any(np.diagonal(a) != 0):
             raise ValueError("self distances must be 0")
-        if np.any(a < UNREACHABLE):
-            raise ValueError("distances must be hop counts or UNREACHABLE")
+        if np.any((a < UNREACHABLE) | (a >= a.shape[0])):  # closest_members' key needs < n
+            raise ValueError("distances must be hop counts below n or UNREACHABLE")
         if not np.array_equal(a, a.T):
             raise ValueError("distance matrix must be symmetric")
         a.setflags(write=False)
@@ -167,32 +168,34 @@ def sample_anchor_family(n: int, c: float, seed: int) -> AnchorFamily:
         prob = 2.0 ** -i
         for j in range(1, j_max + 1):
             mask = rng.random(n) < prob
-            sets.append(tuple(int(v) for v in np.flatnonzero(mask)))
+            sets.append(tuple(np.flatnonzero(mask).tolist()))
             provenance.append((i, j))
     return AnchorFamily(sets=tuple(sets), provenance=tuple(provenance),
                         c=c, seed=seed)
 
 
 def closest_members(dm: DistanceMatrix,
-                    members: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per node: the closest member of an anchor set and its hop count.
+                    sets: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per node and anchor set: the closest member and its hop count.
 
-    Distance ties break to the lowest member id.  Both entries are
-    UNREACHABLE where the node reaches no member, and everywhere for an
-    empty set.
+    Returns (member, hops), each n x len(sets) int64: hops[v, m] is
+    d(v, S_m) = min over u in S_m of d(v, u), ties to the lowest member id,
+    and both are UNREACHABLE where v reaches no member of S_m or S_m is
+    empty.  One pass: each (hops, id) packs into the key hops * n + id
+    (UNREACHABLE as hops = n) in the smallest dtype that holds n * n + n,
+    and np.minimum.reduceat takes each nonempty set's least key.
     """
-    if len(members) == 0:
-        return (np.full(dm.n, UNREACHABLE, dtype=np.int64),
-                np.full(dm.n, UNREACHABLE, dtype=np.int64))
-    mem = np.asarray(members, dtype=np.int64)
-    sub = dm.d[:, mem]
-    big = np.iinfo(np.int64).max
-    masked = np.where(sub == UNREACHABLE, big, sub)
-    pos = masked.argmin(axis=1)
-    dist = masked[np.arange(dm.n), pos]
-    reach = dist != big
-    return (np.where(reach, mem[pos], UNREACHABLE),
-            np.where(reach, dist, UNREACHABLE))
+    n = dm.n
+    sizes = np.fromiter(map(len, sets), np.int64, len(sets))
+    # dm.d is symmetric, so row u of key holds d(u, v) * n + u for every node v
+    key = np.where(dm.d == UNREACHABLE, n, dm.d).astype(np.min_scalar_type(n * n + n))
+    key *= n
+    key += np.arange(n, dtype=key.dtype)[:, None]
+    mem = np.fromiter(chain.from_iterable(sets), np.int64, sizes.sum())
+    best = np.full((n, sizes.size), n * n, dtype=np.int64)
+    best[:, sizes > 0] = np.minimum.reduceat(key[mem], (np.cumsum(sizes) - sizes)[sizes > 0]).T
+    reach = best < n * n
+    return np.where(reach, best % n, UNREACHABLE), np.where(reach, best // n, UNREACHABLE)
 
 
 def set_distance(dm: DistanceMatrix, v: int, members: Sequence[int]) -> int:
@@ -202,27 +205,24 @@ def set_distance(dm: DistanceMatrix, v: int, members: Sequence[int]) -> int:
     """
     if not (0 <= v < dm.n):
         raise ValueError(f"node {v} out of range for n={dm.n}")
-    return int(closest_members(dm, members)[1][v])
+    return int(closest_members(dm, [members])[1][v, 0])
 
 
 def bourgain_embed(dm: DistanceMatrix, fam: AnchorFamily) -> np.ndarray:
     """n x k coordinates d(v, S_m) / k; empty sets contribute 0 columns.
 
     Raises DisconnectedGraphError if a nonempty set is unreachable from some
-    node, since a finite coordinate does not exist there.
+    node, since a finite coordinate does not exist there; the message names
+    the first such set and, in it, the first such node.
     """
-    k = fam.k
-    emb = np.zeros((dm.n, k), dtype=np.float64)
-    for m, members in enumerate(fam.sets):
-        if len(members) == 0:
-            continue
-        _, dist = closest_members(dm, members)
-        if np.any(dist == UNREACHABLE):
-            bad = int(np.flatnonzero(dist == UNREACHABLE)[0])
-            raise DisconnectedGraphError(
-                f"node {bad} cannot reach anchor set {m}; graph is disconnected")
-        emb[:, m] = dist / k
-    return emb
+    _, hops = closest_members(dm, fam.sets)
+    # a nonempty set is at hop 0 from its own members, so only empty columns are all out
+    cut = (hops == UNREACHABLE) & (hops != UNREACHABLE).any(axis=0)
+    if cut.any():
+        m = int(cut.any(axis=0).argmax())
+        raise DisconnectedGraphError(f"node {int(cut[:, m].argmax())} cannot reach anchor "
+                                     f"set {m}; graph is disconnected")
+    return np.maximum(hops, 0) / fam.k
 
 
 def measure_distortion(dm: DistanceMatrix, emb: np.ndarray,

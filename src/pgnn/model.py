@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -142,16 +143,14 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
     """
     n, k = dm.n, fam.k
     own = np.arange(n, dtype=np.int64)[:, None]
-    order = np.array(sorted(range(k), key=lambda m: (fam.provenance[m], m)))
-    columns = []
-    for m in order:
-        mem = np.asarray(fam.sets[m], dtype=np.int64)
-        if closest and mem.size:
-            columns.append(tuple(a[:, None] for a in closest_members(dm, mem)))
-        else:
-            columns.append((np.broadcast_to(mem, (n, mem.size)), dm.d[:, mem]))
-    widths = np.array([u.shape[1] for u, _ in columns])
-    u, d = (np.hstack(parts) for parts in zip(*columns))
+    order = np.array(sorted(range(k), key=fam.provenance.__getitem__))  # stable: ties by m
+    widths = np.fromiter(map(len, fam.sets), np.int64, k)[order]
+    if closest:
+        u, d = (a[:, order[widths > 0]] for a in closest_members(dm, fam.sets))
+        widths = np.minimum(widths, 1)
+    else:
+        mem = np.fromiter(chain.from_iterable(map(fam.sets.__getitem__, order)), np.int64)
+        u, d = mem, dm.d[:, mem]
     key = 2 * (own * n + np.where(d != UNREACHABLE, u, own)) + (d != UNREACHABLE)
     key, first, row = np.unique(key, return_index=True, return_inverse=True)
     row = row.ravel()

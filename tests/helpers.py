@@ -72,6 +72,30 @@ def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float((np.abs(a - b) / denom).max())
 
 
+def reference_closest_members(dm, sets):
+    """Per-set argmin over each set's member columns; returns (member, hops).
+
+    Each is an n x len(sets) int64 array: the nearest member (ties to the
+    lowest id, as argmin takes the first of equal sorted-member entries)
+    and its hop count, UNREACHABLE (-1) where the node reaches no member and
+    in every row of an empty set.
+    """
+    n = dm.n
+    member = np.full((n, len(sets)), -1, dtype=np.int64)
+    hops = member.copy()
+    for m, members in enumerate(sets):
+        mem = np.array(sorted(members), dtype=np.int64)
+        if mem.size == 0:
+            continue
+        dist = dm.d[:, mem].astype(np.float64)
+        dist[dm.d[:, mem] < 0] = np.inf
+        pos = dist.argmin(axis=1)
+        reach = np.isfinite(dist[np.arange(n), pos])
+        member[reach, m] = mem[pos[reach]]
+        hops[reach, m] = dist[np.arange(n), pos][reach]
+    return member, hops
+
+
 def reference_pgnn_forward(g: Graph, dm, fam, params, closest: bool):
     """Per-set position-aware forward in plain numpy; returns (Z, H).
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pgnn.graph import Graph, grid_graph
+from pgnn.graph import Graph, connected_caveman, grid_graph
 from pgnn.metric import (
     UNREACHABLE,
     AnchorFamily,
@@ -22,7 +22,7 @@ from pgnn.metric import (
     truncate,
 )
 
-from helpers import floyd_warshall, random_connected_graph
+from helpers import floyd_warshall, random_connected_graph, reference_closest_members
 
 
 def path_graph(n):
@@ -109,6 +109,8 @@ def test_distance_matrix_validation():
         DistanceMatrix(np.array([[0, 1], [2, 0]], dtype=np.int64))
     with pytest.raises(ValueError):
         DistanceMatrix(np.array([[0, -3], [-3, 0]], dtype=np.int64))
+    with pytest.raises(ValueError, match="hop counts below n"):
+        DistanceMatrix(np.array([[0, 2], [2, 0]], dtype=np.int64))
 
 
 def test_similarity_values():
@@ -193,15 +195,59 @@ def test_set_distance_minimum_and_corner_cases():
 def test_closest_members_break_ties_low_and_mark_unreachable():
     # path 0-1-2-3-4 plus an isolated node 5
     dm = all_pairs(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]))
-    member, hops = closest_members(dm, [1, 3, 5])
+    member, hops = closest_members(dm, [[1, 3, 5]])
     # node 2 is one hop from both 1 and 3 and takes the lower id
-    assert member.tolist() == [1, 1, 1, 3, 3, 5]
-    assert hops.tolist() == [1, 0, 1, 0, 1, 0]
-    member, hops = closest_members(dm, [4])
-    assert member.tolist() == [4, 4, 4, 4, 4, UNREACHABLE]
-    assert hops.tolist() == [4, 3, 2, 1, 0, UNREACHABLE]
-    for out in closest_members(dm, []):
-        assert out.tolist() == [UNREACHABLE] * 6
+    assert member[:, 0].tolist() == [1, 1, 1, 3, 3, 5]
+    assert hops[:, 0].tolist() == [1, 0, 1, 0, 1, 0]
+    member, hops = closest_members(dm, [[4]])
+    assert member[:, 0].tolist() == [4, 4, 4, 4, 4, UNREACHABLE]
+    assert hops[:, 0].tolist() == [4, 3, 2, 1, 0, UNREACHABLE]
+    for out in closest_members(dm, [[]]):
+        assert out[:, 0].tolist() == [UNREACHABLE] * 6
+
+
+def _split_paths(n, length):
+    """Paths of ``length`` nodes each (the last one shorter) side by side."""
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1) if (v + 1) % length])
+
+
+_DISTANCES = {
+    "grid-20x20": lambda: all_pairs(grid_graph(20, 20)),
+    "caveman-20x20": lambda: all_pairs(connected_caveman(20, 20, 0.01, seed=0)),
+    "caveman-20x20-2hop": lambda: all_pairs_within(connected_caveman(20, 20, 0.01, seed=0), 2),
+    # n = 255 keeps the packed key in uint16, n = 256 needs uint32
+    "paths-255": lambda: all_pairs(_split_paths(255, 40)),
+    "paths-256": lambda: all_pairs(_split_paths(256, 40)),
+}
+
+
+@pytest.mark.parametrize("name", _DISTANCES)
+def test_closest_members_match_the_per_set_argmin(name):
+    dm = _DISTANCES[name]()
+    n = dm.n
+    families = [sample_anchor_family(n, c, seed).sets for seed in range(5) for c in (1.0, 2.0)]
+    families.append(((), (0, n - 1), (), (0, n - 1), (n // 2,), tuple(range(0, n, 2)),
+                     tuple(range(n)), (1, 3), (n - 2, n - 1), ()))
+    for sets in families:
+        member, hops = closest_members(dm, sets)
+        ref_member, ref_hops = reference_closest_members(dm, sets)
+        for got, ref in ((member, ref_member), (hops, ref_hops)):
+            assert got.dtype == np.int64 and got.shape == (n, len(sets)), name
+            assert np.array_equal(got, ref), name
+    assert closest_members(dm, [])[0].shape == (n, 0)
+
+
+def test_sampled_family_members_are_python_ints_in_the_same_draws():
+    for n in (2, 64, 400):
+        for seed in range(5):
+            fam = sample_anchor_family(n, 1.0, seed)
+            rng = np.random.default_rng(seed)
+            log_n = math.log2(n)
+            expected = tuple(tuple(int(v) for v in np.flatnonzero(rng.random(n) < 2.0 ** -i))
+                             for i in range(1, math.ceil(log_n) + 1)
+                             for _ in range(math.ceil(log_n)))
+            assert fam.sets == expected
+            assert all(type(v) is int for members in fam.sets for v in members)
 
 
 def test_bourgain_embedding_coordinates_by_hand():
@@ -220,6 +266,12 @@ def test_bourgain_rejects_disconnected_graphs():
     fam = AnchorFamily(sets=((0,),), provenance=((1, 1),), c=1.0, seed=0)
     with pytest.raises(DisconnectedGraphError):
         bourgain_embed(dm, fam)
+    # the empty set 0 is skipped; set 1 is named before set 2, node 2 before node 3
+    fam = AnchorFamily(sets=((), (0,), (2,)), provenance=((1, 1), (1, 2), (1, 3)),
+                       c=1.0, seed=0)
+    with pytest.raises(DisconnectedGraphError) as err:
+        bourgain_embed(dm, fam)
+    assert str(err.value) == "node 2 cannot reach anchor set 1; graph is disconnected"
 
 
 def test_bourgain_l1_distances_never_expand():

@@ -284,7 +284,7 @@ def _distinct_messages(dm, fam, closest):
         if not members:
             continue
         if closest:
-            choices = [closest_members(dm, members)[0]]
+            choices = [closest_members(dm, [members])[0][:, 0]]
         else:
             choices = [np.where(dm.d[:, u] != UNREACHABLE, u, UNREACHABLE) for u in members]
         for chosen in choices:
