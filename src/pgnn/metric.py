@@ -243,15 +243,12 @@ def measure_distortion(dm: DistanceMatrix, emb: np.ndarray,
         raise DisconnectedGraphError("distortion needs a connected graph")
     if emb.ndim != 2 or emb.shape[0] != n:
         raise ValueError(f"embedding must have {n} rows, got {emb.shape}")
-    iu, ju = np.triu_indices(n, k=1)
-    diffs = emb[iu] - emb[ju]
-    if p == 1:
-        emb_d = np.abs(diffs).sum(axis=1)
-    elif p == 2:
-        emb_d = np.sqrt((diffs * diffs).sum(axis=1))
-    else:
-        emb_d = np.abs(diffs).max(axis=1)
-    graph_d = dm.d[iu, ju].astype(np.float64)
+    # one row of pairs (u, v > u) at a time, in triu order: no pairs x k array;
+    # contiguous rows, so each norm sums in the same order for any input layout
+    emb = np.ascontiguousarray(emb)
+    emb_d = np.concatenate([np.linalg.norm(emb[u + 1:] - emb[u], ord=p, axis=1)
+                            for u in range(n - 1)])
+    graph_d = dm.d[np.triu_indices(n, k=1)].astype(np.float64)
     expansion = float((emb_d / graph_d).max())
     if np.any(emb_d == 0.0):
         # no rescaling recovers a collapsed pair

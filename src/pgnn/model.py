@@ -11,10 +11,12 @@ distinct one once (at most n^2 + n rows).  The row-wise mean across sets,
 the next node state, is a sum over a node's distinct messages, each
 weighted by how often the sets use it.  The final layer also projects each
 distinct message onto a learned vector and expands only that scalar into a
-flat table of (node, set, member) slots, built once per anchor family,
-giving one anchor-indexed output column per set.  The tape ops are the
-same for any number of sets, and a layer holds n * total set size
-scalars plus distinct messages x r floats.
+flat table of (node, set, member) slots, built once per anchor family.
+Each (node, set) cell of the anchor-indexed output, one column per set,
+adds its slots weighted by 1 / their count (one slot at weight 1.0 in
+closest mode).  The tape ops are the same for both aggregation modes and
+any number of sets, and a layer holds n * total set size scalars plus
+distinct messages x r floats.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
     Per distinct (node, member, reachable) message, in key order: its node
     and member rows of h, member-half scale and weight in H, (1/k) * the sum
     of 1 / (slots of the pair) over its slots; per slot: its message row,
-    1 / (slots of its (node, set) pair) and the pair's index; per pair of a
-    nonempty set, its slot node * k + set in Z.  The H weights add integer
+    1 / (slots of its (node, set) pair), exactly 1.0 in closest mode, and
+    its pair's cell node * k + set in Z.  The H weights add integer
     slot counts divided by the pair width, in increasing width, so neither
     the order of fam.sets nor listing every set twice changes them.
     Memoized on the last call (dm by identity); the memo keeps that call's
@@ -159,8 +161,7 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
                 for m in np.unique(widths[widths > 0])), np.zeros(key.size))
     out = (key // 2 // n, key // 2 % n, similarity(d.ravel()[first]).reshape(-1, 1), row,
            (uses / k).reshape(-1, 1), (1.0 / size).reshape(-1, 1),
-           np.repeat(np.arange(n * np.count_nonzero(widths)), np.tile(widths[widths > 0], n)),
-           (own * k + order[widths > 0]).ravel())
+           np.repeat(own * k + order, widths, axis=1).ravel())
     for a in out:  # every caller of the memo shares these arrays
         a.setflags(write=False)
     return out
@@ -190,8 +191,7 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
     if len(params) != 2 * cfg.layers:
         raise ShapeError(f"{len(params)} params for layers={cfg.layers} (w_msg, w) pairs")
     n, k = g.n, fam.k
-    node, member, sim, row, uses, weight, pair, slot = _message_table(dm, fam,
-                                                                      cfg.closest_node_agg)
+    node, member, sim, row, uses, weight, cell = _message_table(dm, fam, cfg.closest_node_agg)
     h = tape.leaf(g.features)
     for w_msg in params[::2]:
         hu = tape.scale_rows(tape.gather_rows(h, member), sim)
@@ -199,9 +199,8 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
                                     tape.leaf(w_msg)))
         h = tape.segment_sum(tape.scale_rows(msg, uses), node, n)
     z = tape.gather_rows(tape.matmul(msg, tape.leaf(params[-1])), row)  # one scalar a slot
-    if not cfg.closest_node_agg:  # average each pair's slots into one
-        z = tape.segment_sum(tape.scale_rows(z, weight), pair, slot.size)
-    return Embeddings(z=tape.reshape(tape.segment_sum(z, slot, n * k), n, k), h=h)
+    z = tape.segment_sum(tape.scale_rows(z, weight), cell, n * k)  # each pair's slot mean
+    return Embeddings(z=tape.reshape(z, n, k), h=h)
 
 
 def gcn_forward(tape: Tape, g: Graph, weights: list[np.ndarray],

@@ -2,7 +2,7 @@
 
 A :class:`Tape` records matrix-level operations as an append-only list of
 nodes.  :meth:`Tape.backward` walks the recording in reverse topological
-order from a scalar terminal and accumulates gradients for every node,
+order from a scalar terminal and returns the gradient of every leaf,
 summing over repeated uses.  There is no broadcasting beyond the explicit
 ``scale_rows`` op and no in-place mutation anywhere on the tape.
 """
@@ -251,38 +251,27 @@ class Tape:
     # reverse pass
 
     def backward(self, terminal: Value) -> dict[int, np.ndarray]:
-        """Gradients of a scalar terminal w.r.t. every node on the tape.
+        """Gradients of a scalar terminal w.r.t. every leaf on the tape.
 
-        Returns a table keyed by node id.  Nodes that do not reach the
-        terminal (including unused parameters) get exact zeros.  The tape
-        is not mutated, so calling backward again gives identical results.
+        Returns a table keyed by leaf id.  Leaves that do not reach the
+        terminal (including unused parameters) get exact zeros.  A non-leaf
+        node's gradient is dropped once it has been passed to its parents.
+        The tape is not mutated, so calling backward again gives identical
+        results.
         """
         self._own(terminal)
         if terminal.shape != (1, 1):
             raise ValueError(
                 f"backward terminal must be a 1x1 scalar, got {terminal.shape}")
-        grads: list[np.ndarray | None] = [None] * len(self._nodes)
-        grads[terminal.id] = np.ones((1, 1))
+        grads = {terminal.id: np.ones((1, 1))}
         for nid in range(terminal.id, -1, -1):
-            g = grads[nid]
-            if g is None:
-                continue
             node = self._nodes[nid]
-            if node.backward is None:
+            if node.backward is None or nid not in grads:
                 continue
-            contribs = node.backward(g)
-            for pid, contrib in zip(node.parents, contribs):
-                if contrib is None:
-                    continue
-                if grads[pid] is None:
-                    grads[pid] = contrib
-                else:
-                    grads[pid] = grads[pid] + contrib
-        table: dict[int, np.ndarray] = {}
-        for nid, node in enumerate(self._nodes):
-            g = grads[nid]
-            table[nid] = g if g is not None else np.zeros(node.data.shape)
-        return table
+            for pid, contrib in zip(node.parents, node.backward(grads.pop(nid))):
+                grads[pid] = grads[pid] + contrib if pid in grads else contrib
+        return {nid: grads[nid] if nid in grads else np.zeros(node.data.shape)
+                for nid, node in enumerate(self._nodes) if node.backward is None}
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,28 @@ def reference_closest_members(dm, sets):
     return member, hops
 
 
+def reference_measure_distortion(dm, emb, p):
+    """Expansion, contraction and distortion from one pairs x k difference matrix.
+
+    The all-pairs form: every (u, v > u) difference in triu order, then a
+    per-p branch for the norm.  A collapsed pair gives infinite contraction.
+    """
+    iu, ju = np.triu_indices(dm.n, k=1)
+    diffs = emb[iu] - emb[ju]
+    if p == 1:
+        emb_d = np.abs(diffs).sum(axis=1)
+    elif p == 2:
+        emb_d = np.sqrt((diffs * diffs).sum(axis=1))
+    else:
+        emb_d = np.abs(diffs).max(axis=1)
+    graph_d = dm.d[iu, ju].astype(np.float64)
+    expansion = float((emb_d / graph_d).max())
+    if np.any(emb_d == 0.0):
+        return expansion, np.inf, np.inf
+    contraction = float((graph_d / emb_d).max())
+    return expansion, contraction, expansion * contraction
+
+
 def reference_pgnn_forward(g: Graph, dm, fam, params, closest: bool):
     """Per-set position-aware forward in plain numpy; returns (Z, H).
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from pgnn.metric import (
     truncate,
 )
 
-from helpers import floyd_warshall, random_connected_graph, reference_closest_members
+from helpers import (floyd_warshall, random_connected_graph, reference_closest_members,
+                     reference_measure_distortion)
 
 
 def path_graph(n):
@@ -319,6 +321,43 @@ def test_distortion_is_scale_invariant():
     assert d2 == pytest.approx(d1)
     # the Bourgain embedding never stretches distances in l1
     assert e1 <= 1.0 + 1e-12
+
+
+def test_distortion_matches_the_pairwise_reference():
+    """Row-wise norms give the all-pairs difference matrix's values exactly."""
+    rng = np.random.default_rng(15)
+    graphs = [grid_graph(20, 20), connected_caveman(20, 20, 0.01, seed=0),
+              connected_caveman(8, 8, 0.01, seed=0)]
+    graphs += [random_connected_graph(n, rng, extra_edges=4) for n in (2, 3, 17, 60)]
+    for g in graphs:
+        dm = all_pairs(g)
+        collapsed = rng.standard_normal((g.n, 3))
+        collapsed[-1] = collapsed[0]
+        embs = [bourgain_embed(dm, sample_anchor_family(g.n, c, seed))
+                for c, seed in ((1.0, 0), (2.0, 4))]
+        # column-major and strided layouts too
+        embs += [rng.standard_normal((g.n, 9)), collapsed,
+                 np.asfortranarray(rng.standard_normal((g.n, 9))),
+                 rng.standard_normal((g.n, 10))[:, ::2]]
+        for emb in embs:
+            for p in (1, 2, math.inf):
+                assert (measure_distortion(dm, emb, p)
+                        == reference_measure_distortion(dm, emb, p)), (g.n, p)
+
+
+def test_distortion_never_holds_a_pairs_by_k_array():
+    """n = 400, k = 81: the pairs x k difference matrix alone would be 52 MB."""
+    dm = all_pairs(grid_graph(20, 20))
+    emb = bourgain_embed(dm, sample_anchor_family(dm.n, 1.0, seed=0))
+    assert emb.shape == (400, 81)
+    for p in (1, 2, math.inf):
+        tracemalloc.start()
+        try:
+            measure_distortion(dm, emb, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20, (p, peak)
 
 
 def test_distortion_input_validation():

@@ -250,7 +250,7 @@ def test_tape_nodes_per_forward_do_not_depend_on_k(closest):
         tape = Tape()
         pgnn_forward(tape, g, dm, fam, params, cfg)
         nodes.append(len(tape))
-    assert nodes == ([24, 24] if closest else [26, 26])
+    assert nodes == [25, 25]
 
 
 def _assert_matches_reference(g, dm, fam, params, cfg, label):
