@@ -183,24 +183,11 @@ def test_unused_leaf_gets_exact_zero_gradient():
     x = tape.leaf([[2.0]])
     unused = tape.leaf([[7.0, 1.0]])
     loss = tape.hadamard(x, x)
-    table = tape.backward(loss)
-    assert np.array_equal(table[unused.id], np.zeros((1, 2)))
-
-
-def test_backward_returns_one_gradient_per_leaf():
-    tape = Tape()
-    x = tape.leaf(np.arange(6.0).reshape(3, 2))
-    w = tape.leaf(np.ones((2, 1)))
-    hidden = tape.relu(tape.matmul(x, w))
-    unused = tape.leaf(np.ones((4, 4)))
-    loss = mean_rows(tape, hidden)  # registers the 1 x 3 mean leaf
     late = tape.leaf([[5.0]])  # recorded after the terminal
     table = tape.backward(loss)
-    assert sorted(table) == sorted([x.id, w.id, unused.id, loss.id - 1, late.id])
-    assert hidden.id not in table and loss.id not in table
-    assert np.array_equal(table[unused.id], np.zeros((4, 4)))
+    assert sorted(table) == [x.id, unused.id, late.id]  # leaves only
+    assert np.array_equal(table[unused.id], np.zeros((1, 2)))
     assert np.array_equal(table[late.id], np.zeros((1, 1)))
-    assert np.array_equal(table[w.id], np.array([[2.0], [3.0]]))
 
 
 def test_backward_drops_each_inner_gradient_once_passed_on():
@@ -209,7 +196,7 @@ def test_backward_drops_each_inner_gradient_once_passed_on():
     tape = Tape()
     x = tape.leaf(rng.standard_normal((10_000, 16)))
     v = x
-    for i in range(10):
+    for _ in range(10):
         v = tape.relu(tape.scale_rows(v, rng.uniform(0.5, 1.5, size=(10_000, 1))))
     loss = tape.matmul(mean_rows(tape, v), tape.leaf(np.ones((16, 1))))
     tracemalloc.start()
