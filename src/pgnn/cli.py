@@ -122,12 +122,15 @@ def _parse_dataset(section: dict):
     else:
         labelled = bool(ds["labels_path"])
 
-        def build():
-            g = load_edge_list(ds["path"])
-            features_path = ds["features_path"]
-            labels = load_node_labels(ds["labels_path"], g.n) if labelled else None
-            feats = load_feature_csv(features_path, g.n) if features_path else None
-            return Graph(n=g.n, adjacency=g.adjacency, features=feats, labels=labels)
+        def build():  # a file that cannot be loaded is a config error
+            try:
+                g = load_edge_list(ds["path"])
+                features_path = ds["features_path"]
+                labels = load_node_labels(ds["labels_path"], g.n) if labelled else None
+                feats = load_feature_csv(features_path, g.n) if features_path else None
+                return Graph(n=g.n, adjacency=g.adjacency, features=feats, labels=labels)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"dataset {name} cannot be loaded: {exc}") from None
 
         name = os.path.splitext(os.path.basename(ds["path"]))[0]
     return build, name, ds, labelled
@@ -297,12 +300,9 @@ def _named_matrices(model_resolved: dict, arrays) -> list:
 
 
 def _build_split(build, name, resolved):
-    """The dataset's graph and its pair split; a dataset file that cannot be
-    loaded, or a split that this graph cannot populate, is a config error."""
-    try:
-        g = build()
-    except ValueError as exc:
-        raise ConfigError(f"dataset {name} cannot be loaded: {exc}") from None
+    """The dataset's graph and its pair split; a split that this graph cannot
+    populate is a config error."""
+    g = build()
     try:
         return g, split_pairs(g, resolved["task"], *resolved["split"].values())
     except ValueError as exc:

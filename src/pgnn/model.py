@@ -7,16 +7,14 @@ weight inside the nonlinearity lets the message react to proximity even
 when input features are constant.  Per set the messages are either
 averaged over all members or taken from the single closest member.  A
 message depends only on its node and member, so a layer computes each
-distinct one once (at most n^2 + n rows).  The row-wise mean across sets,
-the next node state, is a sum over a node's distinct messages, each
-weighted by how often the sets use it.  The final layer also projects each
-distinct message onto a learned vector and expands only that scalar into a
-flat table of (node, set, member) slots, built once per anchor family.
-Each (node, set) cell of the anchor-indexed output, one column per set,
-adds its slots weighted by 1 / their count (one slot at weight 1.0 in
-closest mode).  The tape ops are the same for both aggregation modes and
-any number of sets, and a layer holds n * total set size scalars plus
-distinct messages x r floats.
+distinct one once (at most n^2 + n rows).  For a given anchor family the
+rest is three fixed sparse maps, built once per family: the member half
+of each message, the row-wise mean across sets (the next node state, a sum
+over a node's distinct messages weighted by how often the sets use them),
+and the anchor-indexed output, one column per set, where each (node, set)
+cell averages the final layer's scalar projections of its slots (one slot
+at weight 1.0 in closest mode).  The tape ops are the same for both
+aggregation modes and any number of sets.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from functools import lru_cache
 from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .graph import Graph
 from .metric import (UNREACHABLE, AnchorFamily, DistanceMatrix, all_pairs,
@@ -126,45 +125,53 @@ def make_distance_input(g: Graph, cfg: PGNNConfig) -> DistanceMatrix:
     return all_pairs_within(g, FAST_HOPS)
 
 
+def _operator(data, indices, indptr, cols: int):
+    """Read-only (S, S.T) in CSR, built as listed: a COO build would sort each
+    row's columns and merge duplicates, and so reorder the row's sum."""
+    s = csr_matrix((data, indices, indptr), shape=(indptr.size - 1, cols))
+    op = (s, s.T.tocsr())  # within a row of S.T, entries keep S's row order
+    for m in op:  # every caller of the memo shares these arrays
+        for a in (m.data, m.indices, m.indptr):
+            a.setflags(write=False)
+    return op
+
+
 @lru_cache(maxsize=1)
 def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
-    """Messages of every (node, set in provenance order, member) slot.
+    """Each distinct message's node, in key order, and three (S, S.T) operators.
 
     Closest mode keeps each (node, set)'s nearest member (ties to the lowest
     id), mean mode every member; empty sets get no slots.  A member out of
-    reach becomes the node itself with similarity 0, zeroing that half.
-    Per distinct (node, member, reachable) message, in key order: its node
-    and member rows of h, member-half scale and weight in H, (1/k) * the sum
-    of 1 / (slots of the pair) over its slots; per slot: its message row,
-    1 / (slots of its (node, set) pair), exactly 1.0 in closest mode, and
-    its pair's cell node * k + set in Z.  The H weights add integer
-    slot counts divided by the pair width, in increasing width, so neither
-    the order of fam.sets nor listing every set twice changes them.
+    reach becomes the node itself with similarity 0, zeroing that half.  A
+    message is a distinct (node, member, reachable) key.  member (messages x
+    n) holds its similarity; to_h (n x messages) its weight in H, (1/k) * the
+    sum of 1 / (slots of the pair) over its slots, added as integer slot
+    counts / pair width in increasing width, so neither the order of fam.sets
+    nor listing every set twice changes it; to_z (n*k x messages) adds cell
+    node * k + set's slots in family order, each at 1 / their count.
     Memoized on the last call (dm by identity); the memo keeps that call's
     dm and table alive until the next call.
     """
     n, k = dm.n, fam.k
     own = np.arange(n, dtype=np.int64)[:, None]
-    order = np.array(sorted(range(k), key=fam.provenance.__getitem__))  # stable: ties by m
-    widths = np.fromiter(map(len, fam.sets), np.int64, k)[order]
+    widths = np.fromiter(map(len, fam.sets), np.int64, k)
     if closest:
-        u, d = (a[:, order[widths > 0]] for a in closest_members(dm, fam.sets))
+        u, d = (a[:, widths > 0] for a in closest_members(dm, fam.sets))
         widths = np.minimum(widths, 1)
     else:
-        mem = np.fromiter(chain.from_iterable(map(fam.sets.__getitem__, order)), np.int64)
-        u, d = mem, dm.d[:, mem]
+        u = np.fromiter(chain.from_iterable(fam.sets), np.int64)
+        d = dm.d[:, u]
     key = 2 * (own * n + np.where(d != UNREACHABLE, u, own)) + (d != UNREACHABLE)
     key, first, row = np.unique(key, return_index=True, return_inverse=True)
     row = row.ravel()
     size = np.tile(np.repeat(widths, widths), n)  # each slot's pair width
     uses = sum((np.bincount(row[size == m], minlength=key.size) / m
                 for m in np.unique(widths[widths > 0])), np.zeros(key.size))
-    out = (key // 2 // n, key // 2 % n, similarity(d.ravel()[first]).reshape(-1, 1), row,
-           (uses / k).reshape(-1, 1), (1.0 / size).reshape(-1, 1),
-           np.repeat(own * k + order, widths, axis=1).ravel())
-    for a in out:  # every caller of the memo shares these arrays
-        a.setflags(write=False)
-    return out
+    node, msgs = key // 2 // n, key.size
+    node.setflags(write=False)
+    return (node, _operator(similarity(d.ravel()[first]), key // 2 % n, np.arange(msgs + 1), n),
+            _operator(uses / k, np.arange(msgs), np.searchsorted(node, np.arange(n + 1)), msgs),
+            _operator(1.0 / size, row, np.r_[0, np.cumsum(np.tile(widths, n))], msgs))
 
 
 def _check_forward_args(g: Graph, dm: DistanceMatrix, fam: AnchorFamily) -> None:
@@ -191,15 +198,14 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
     if len(params) != 2 * cfg.layers:
         raise ShapeError(f"{len(params)} params for layers={cfg.layers} (w_msg, w) pairs")
     n, k = g.n, fam.k
-    node, member, sim, row, uses, weight, cell = _message_table(dm, fam, cfg.closest_node_agg)
+    node, member, to_h, to_z = _message_table(dm, fam, cfg.closest_node_agg)
     h = tape.leaf(g.features)
     for w_msg in params[::2]:
-        hu = tape.scale_rows(tape.gather_rows(h, member), sim)
-        msg = tape.relu(tape.matmul(tape.concat_cols(tape.gather_rows(h, node), hu),
+        msg = tape.relu(tape.matmul(tape.concat_cols(tape.gather_rows(h, node),
+                                                     tape.spmm(member, h)),
                                     tape.leaf(w_msg)))
-        h = tape.segment_sum(tape.scale_rows(msg, uses), node, n)
-    z = tape.gather_rows(tape.matmul(msg, tape.leaf(params[-1])), row)  # one scalar a slot
-    z = tape.segment_sum(tape.scale_rows(z, weight), cell, n * k)  # each pair's slot mean
+        h = tape.spmm(to_h, msg)
+    z = tape.spmm(to_z, tape.matmul(msg, tape.leaf(params[-1])))  # each pair's slot mean
     return Embeddings(z=tape.reshape(z, n, k), h=h)
 
 

@@ -53,25 +53,6 @@ class _Node:
         self.backward = backward
 
 
-def _row_index(idx, rows: int, op: str) -> np.ndarray:
-    ix = np.asarray(idx, dtype=np.int64)
-    if ix.ndim != 1:
-        raise ShapeError(f"{op}: index must be 1-d, got {ix.shape}")
-    if ix.size and (ix.min() < 0 or ix.max() >= rows):
-        raise ValueError(f"{op}: index out of range")
-    return ix
-
-
-def _scatter_rows(values: np.ndarray, ix: np.ndarray, rows: int) -> np.ndarray:
-    """out[ix[i]] += values[i] in increasing i, as ``np.add.at`` on zeros.
-
-    One CSR product with unit weights; scipy adds a row's entries in order.
-    """
-    scatter = csr_matrix((np.ones(ix.size), (ix, np.arange(ix.size))),
-                         shape=(rows, ix.size))
-    return scatter @ values
-
-
 class Tape:
     """Append-only recording of matrix ops; single-writer, one run each."""
 
@@ -174,31 +155,39 @@ class Tape:
     def gather_rows(self, a: Value, idx) -> Value:
         """Select rows of ``a`` by index; gradient scatters back by sum.
 
-        The index vector is data, not a differentiable input.
+        The index vector is data, not a differentiable input.  The backward
+        adds the rows in index order, as ``np.add.at`` on zeros.
         """
         self._own(a)
         rows = a.shape[0]
-        ix = _row_index(idx, rows, "gather_rows")
+        ix = np.asarray(idx, dtype=np.int64)
+        if ix.ndim != 1:
+            raise ShapeError(f"gather_rows: index must be 1-d, got {ix.shape}")
+        if ix.size and (ix.min() < 0 or ix.max() >= rows):
+            raise ValueError("gather_rows: index out of range")
 
         def back(g):
-            return (_scatter_rows(g, ix, rows),)
+            scatter = csr_matrix((np.ones(ix.size), (ix, np.arange(ix.size))),
+                                 shape=(rows, ix.size))
+            return (scatter @ g,)
 
         return self._record(a.data[ix], (a.id,), back)
 
-    def segment_sum(self, a: Value, idx, rows: int) -> Value:
-        """Add row i of ``a`` into row ``idx[i]`` of a ``rows``-row output.
+    def spmm(self, op, a: Value) -> Value:
+        """``S @ a`` for a fixed CSR ``op = (S, S.T)``; the backward is ``S.T @ g``.
 
-        The adjoint of :meth:`gather_rows`; rows no index names stay zero.
+        The operator is data, not a tape input.  scipy adds each row's stored
+        entries in their stored order.
         """
         self._own(a)
-        ix = _row_index(idx, rows, "segment_sum")
-        if ix.size != a.shape[0]:
-            raise ShapeError(f"segment_sum: {ix.size} indices for {a.shape[0]} rows")
+        s, s_t = op
+        if s.shape[1] != a.shape[0] or s_t.shape != s.shape[::-1]:
+            raise ShapeError(f"spmm: {s.shape} (transpose {s_t.shape}) x {a.shape}")
 
         def back(g):
-            return (g[ix],)
+            return (s_t @ g,)
 
-        return self._record(_scatter_rows(a.data, ix, rows), (a.id,), back)
+        return self._record(s @ a.data, (a.id,), back)
 
     def reshape(self, a: Value, rows: int, cols: int) -> Value:
         """The entries of ``a`` in row-major order as a rows x cols matrix."""

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 import pgnn
 from pgnn.graph import Graph, connected_caveman, constant_features, grid_graph, split_pairs
@@ -173,7 +174,9 @@ def _op_cases(rng):
     # straddle the non-smooth point and measure nothing useful
     r = rng.standard_normal((m, n))
     r = np.where(np.abs(r) < 0.05, 0.05 + np.abs(r), r)
-    seg = rng.integers(0, 3, size=m)
+    dense = rng.standard_normal((5, m)) * (rng.random((5, m)) < 0.5)
+    sparse = csr_matrix(dense)
+    op = (sparse, sparse.T.tocsr())
     return [
         case("matmul", [a, b], lambda t, v: t.matmul(v[0], v[1])),
         case("add", [a, c], lambda t, v: t.add(v[0], v[1])),
@@ -181,7 +184,7 @@ def _op_cases(rng):
         case("scale_rows", [a], lambda t, v: t.scale_rows(v[0], s)),
         case("concat_cols", [a, c], lambda t, v: t.concat_cols(v[0], v[1])),
         case("gather_rows", [a], lambda t, v: t.gather_rows(v[0], idx)),
-        case("segment_sum", [a], lambda t, v: t.segment_sum(v[0], seg, 3)),
+        case("spmm", [a], lambda t, v: t.spmm(op, v[0])),
         case("reshape", [a], lambda t, v: t.reshape(v[0], n, m)),
         case("relu", [r], lambda t, v: t.relu(v[0])),
         case("bce_with_logits", [logits],

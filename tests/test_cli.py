@@ -313,6 +313,19 @@ def test_bad_dataset_file_exits_1_with_its_error(tmp_path, capsys, files, datase
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "[Errno 2] No such file or directory: '{tmp}/g.edges'"),
+    ("# no edges\n", "{tmp}/g.edges: edge list is empty"),
+    ("0 1\n1 x\n", "{tmp}/g.edges:2: non-integer node id in '1 x'"),
+], ids=["missing", "empty", "malformed"])
+def test_distortion_bad_edge_list_exits_1_with_its_error(tmp_path, capsys, text, message):
+    if text is not None:
+        (tmp_path / "g.edges").write_text(text)
+    assert main(["distortion", "edge-list", str(tmp_path / "g.edges")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset g cannot be loaded: {message.format(tmp=tmp_path)}\n")
+
+
 def _random_config(rng, tmp_path) -> dict:
     """A small config drawn from ``rng``: any dataset kind, task, setting and model.
 

@@ -7,6 +7,7 @@ from pgnn.metric import (UNREACHABLE, AnchorFamily, all_pairs, closest_members,
 from pgnn.model import (
     GCNConfig,
     PGNNConfig,
+    _message_table,
     gcn_forward,
     init_gcn_params,
     init_pgnn_params,
@@ -250,7 +251,27 @@ def test_tape_nodes_per_forward_do_not_depend_on_k(closest):
         tape = Tape()
         pgnn_forward(tape, g, dm, fam, params, cfg)
         nodes.append(len(tape))
-    assert nodes == [25, 25]
+    assert nodes == [19, 19]
+
+
+@pytest.mark.parametrize("closest", [True, False])
+def test_message_table_arrays_are_read_only(closest):
+    """The memo hands the same arrays to every forward: an in-place sort or
+    merge of an operator's entries would reorder the sums of later ones."""
+    g = constant_features(connected_caveman(6, 6, 0.1, seed=2))
+    cfg = PGNNConfig(variant="fast", closest_node_agg=closest)
+    fam = sample_anchor_family(g.n, 1.0, seed=3)
+    node, *ops = _message_table(make_distance_input(g, cfg), fam, closest)
+    mats = [m for op in ops for m in op]
+    assert not any(a.flags.writeable
+                   for a in [node] + [a for m in mats for a in (m.data, m.indices, m.indptr)])
+    # mean mode: a Z cell lists its messages in member order, not sorted, and
+    # two unreachable members of one set share one message there
+    merged = [m for m in mats if not m.has_canonical_format]
+    assert bool(merged) == (not closest)
+    for m in merged:
+        with pytest.raises(ValueError, match="read-only"):
+            m.sum_duplicates()
 
 
 def _assert_matches_reference(g, dm, fam, params, cfg, label):

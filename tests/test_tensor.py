@@ -4,10 +4,17 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from pgnn.tensor import AdamState, ShapeError, Tape, adam_step
 
 from helpers import max_rel_err, numeric_grad
+
+
+def operator(dense):
+    """(S, S.T) of a dense matrix, both CSR: the operand ``Tape.spmm`` takes."""
+    s = csr_matrix(np.asarray(dense, dtype=np.float64))
+    return s, s.T.tocsr()
 
 
 def mean_rows(tape, v):
@@ -78,8 +85,8 @@ def test_op_forward_values():
                           [[1.0, 2.0, 5.0, 6.0], [3.0, 4.0, 7.0, 8.0]])
     assert np.array_equal(tape.gather_rows(a, [1, 1, 0]).data,
                           [[3.0, 4.0], [3.0, 4.0], [1.0, 2.0]])
-    assert np.array_equal(tape.segment_sum(a, [2, 0], 3).data,
-                          [[3.0, 4.0], [0.0, 0.0], [1.0, 2.0]])
+    assert np.array_equal(tape.spmm(operator([[0.0, 2.0], [1.0, 0.0], [0.0, 0.0]]), a).data,
+                          [[6.0, 8.0], [1.0, 2.0], [0.0, 0.0]])
     assert np.array_equal(tape.reshape(a, 1, 4).data, [[1.0, 2.0, 3.0, 4.0]])
     c = tape.leaf([[-1.0, 0.0], [2.0, -3.0]])
     assert np.array_equal(tape.relu(c).data, [[0.0, 0.0], [2.0, 0.0]])
@@ -103,15 +110,16 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         tape.concat_cols(a, tape.leaf(np.ones((3, 2))))
     with pytest.raises(ShapeError):
-        tape.segment_sum(a, [0, 1, 1], 2)
-    with pytest.raises(ValueError):
-        tape.segment_sum(a, [0, 2], 2)
+        tape.spmm(operator(np.ones((2, 3))), a)
+    s, _ = operator(np.ones((3, 2)))
+    with pytest.raises(ShapeError):  # an operator paired with the wrong transpose
+        tape.spmm((s, s), a)
     with pytest.raises(ShapeError):
         tape.reshape(a, 4, 2)
 
 
 def test_row_scatter_adds_in_row_order_like_add_at():
-    """segment_sum and gather_rows' backward equal np.add.at bit for bit."""
+    """gather_rows' backward equals np.add.at bit for bit."""
     rng = np.random.default_rng(3)
     # power-of-two counts: the mean_rows below scales gradients exactly
     for rows, count, cols in ((1, 1, 3), (3, 4, 1), (7, 32, 4), (50, 2048, 16)):
@@ -120,15 +128,27 @@ def test_row_scatter_adds_in_row_order_like_add_at():
         expected = np.zeros((rows, cols))
         np.add.at(expected, idx, vals)
         tape = Tape()
-        assert np.array_equal(tape.segment_sum(tape.leaf(vals), idx, rows).data,
-                              expected)
         src = tape.leaf(np.zeros((rows, cols)))
         weighted = tape.hadamard(tape.gather_rows(src, idx), tape.leaf(vals))
         loss = tape.matmul(mean_rows(tape, weighted), tape.leaf(np.ones((cols, 1))))
         assert np.array_equal(tape.backward(loss)[src.id] * count, expected)
+
+
+def test_spmm_adds_each_row_in_its_listed_order():
+    """A row listing its columns out of order, one of them twice, is the
+    sequential sum in that order; a COO build would sort and merge them."""
+    x = np.array([[1.0, 0.5], [1e16, 1e16], [-1e16, -1e16]])
+    cols = np.array([1, 0, 2, 0])
+    listed = csr_matrix((np.ones(4), cols, np.array([0, 4])), shape=(1, 3))
+    expected = np.zeros(2)
+    for c in cols:
+        expected = expected + x[c]
+    assert np.array_equal(expected, [1.0, 0.5])  # 1e16 + 1 rounds to 1e16
     tape = Tape()
-    empty = tape.segment_sum(tape.leaf(np.zeros((0, 2))), [], 3)
-    assert np.array_equal(empty.data, np.zeros((3, 2)))
+    out = tape.spmm((listed, listed.T.tocsr()), tape.leaf(x)).data
+    assert np.array_equal(out, [expected])
+    coo = csr_matrix((np.ones(4), (np.zeros(4, dtype=int), cols)), shape=(1, 3))
+    assert not np.array_equal(tape.spmm((coo, coo.T.tocsr()), tape.leaf(x)).data, out)
 
 
 def test_cross_tape_values_rejected():
@@ -268,7 +288,8 @@ def test_finite_difference_every_op():
         check(lambda t, x: t.scale_rows(x, s), a)
         check(lambda t, x, y: t.concat_cols(x, y), a, c)
         check(lambda t, x: t.gather_rows(x, np.array([2, 0, 0, 1])), a)
-        check(lambda t, x: t.segment_sum(x, np.array([1, 3, 1]), 4), a)
+        sparse = operator(_random_matrix(rng, 5, 3) * (rng.random((5, 3)) < 0.5))
+        check(lambda t, x: t.spmm(sparse, x), a)
         check(lambda t, x: t.reshape(x, 6, 2), a)
         # keep relu away from the kink so FD is trustworthy
         check(lambda t, x: t.relu(x), a + np.sign(a) * 0.3)
