@@ -181,9 +181,10 @@ def closest_members(dm: DistanceMatrix,
     Returns (member, hops), each n x len(sets) int64: hops[v, m] is
     d(v, S_m) = min over u in S_m of d(v, u), ties to the lowest member id,
     and both are UNREACHABLE where v reaches no member of S_m or S_m is
-    empty.  One pass: each (hops, id) packs into the key hops * n + id
-    (UNREACHABLE as hops = n) in the smallest dtype that holds n * n + n,
-    and np.minimum.reduceat takes each nonempty set's least key.
+    empty.  Each (hops, id) packs into the key hops * n + id (UNREACHABLE as
+    hops = n) in the smallest dtype that holds n * n + n; the members' key
+    rows are gathered once, and each nonempty set's block reduces to its
+    least key per node.
     """
     n = dm.n
     sizes = np.fromiter(map(len, sets), np.int64, len(sets))
@@ -191,9 +192,12 @@ def closest_members(dm: DistanceMatrix,
     key = np.where(dm.d == UNREACHABLE, n, dm.d).astype(np.min_scalar_type(n * n + n))
     key *= n
     key += np.arange(n, dtype=key.dtype)[:, None]
-    mem = np.fromiter(chain.from_iterable(sets), np.int64, sizes.sum())
-    best = np.full((n, sizes.size), n * n, dtype=np.int64)
-    best[:, sizes > 0] = np.minimum.reduceat(key[mem], (np.cumsum(sizes) - sizes)[sizes > 0]).T
+    rows = key[np.fromiter(chain.from_iterable(sets), np.int64, sizes.sum())]
+    best = np.full((sizes.size, n), n * n, dtype=key.dtype)
+    ends = np.cumsum(sizes)
+    for m in np.flatnonzero(sizes):  # a 2-d minimum.reduceat is several times slower
+        np.minimum.reduce(rows[ends[m] - sizes[m]:ends[m]], axis=0, out=best[m])
+    best = best.T.astype(np.int64)
     reach = best < n * n
     return np.where(reach, best % n, UNREACHABLE), np.where(reach, best // n, UNREACHABLE)
 

@@ -7,14 +7,17 @@ weight inside the nonlinearity lets the message react to proximity even
 when input features are constant.  Per set the messages are either
 averaged over all members or taken from the single closest member.  A
 message depends only on its node and member, so a layer computes each
-distinct one once (at most n^2 + n rows).  For a given anchor family the
-rest is three fixed sparse maps, built once per family: the member half
-of each message, the row-wise mean across sets (the next node state, a sum
-over a node's distinct messages weighted by how often the sets use them),
-and the anchor-indexed output, one column per set, where each (node, set)
-cell averages the final layer's scalar projections of its slots (one slot
-at weight 1.0 in closest mode).  The tape ops are the same for both
-aggregation modes and any number of sets.
+distinct one once (at most n^2 + n rows).  The map is linear before the
+ReLU, so [h_v, s * h_u] W = (h W_top)[v] + s * (h W_bot)[u]: a layer
+multiplies the 2n x 2d block diagonal [[h, 0], [0, h]] by W once and each
+message adds two rows of the product.  For a given anchor family the rest
+is fixed sparse maps, built once per family: two that pad h into the block
+diagonal, the message map, the row-wise mean across sets (the next node
+state, a sum over a node's distinct messages weighted by how often the
+sets use them), and the anchor-indexed output, one column per set, where
+each (node, set) cell averages the final layer's scalar projections of its
+slots (one slot at weight 1.0 in closest mode).  The tape ops are the same
+for both aggregation modes and any number of sets.
 """
 
 from __future__ import annotations
@@ -138,16 +141,19 @@ def _operator(data, indices, indptr, cols: int):
 
 @lru_cache(maxsize=1)
 def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
-    """Each distinct message's node, in key order, and three (S, S.T) operators.
+    """Five (S, S.T) operators: top, bottom, member, to_h and to_z.
 
-    Closest mode keeps each (node, set)'s nearest member (ties to the lowest
-    id), mean mode every member; empty sets get no slots.  A member out of
-    reach becomes the node itself with similarity 0, zeroing that half.  A
-    message is a distinct (node, member, reachable) key.  member (messages x
-    n) holds its similarity; to_h (n x messages) its weight in H, (1/k) * the
-    sum of 1 / (slots of the pair) over its slots, added as integer slot
-    counts / pair width in increasing width, so neither the order of fam.sets
-    nor listing every set twice changes it; to_z (n*k x messages) adds cell
+    top = [I; 0] and bottom = [0; I] (2n x n each, n entries) pad h into
+    the two halves of the block diagonal [[h, 0], [0, h]].  Closest mode
+    keeps each (node, set)'s nearest member (ties to the lowest id), mean
+    mode every member; empty sets get no slots.  A member out of reach
+    becomes the node itself with similarity 0, zeroing that half.  A
+    message is a distinct (node, member, reachable) key, in key order.
+    member (messages x 2n) holds 1.0 at column node, then its similarity at
+    column n + member; to_h (n x messages) its weight in H, (1/k) * the sum
+    of 1 / (slots of the pair) over its slots, added as integer slot counts
+    / pair width in increasing width, so neither the order of fam.sets nor
+    listing every set twice changes it; to_z (n*k x messages) adds cell
     node * k + set's slots in family order, each at 1 / their count.
     Memoized on the last call (dm by identity); the memo keeps that call's
     dm and table alive until the next call.
@@ -168,8 +174,12 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
     uses = sum((np.bincount(row[size == m], minlength=key.size) / m
                 for m in np.unique(widths[widths > 0])), np.zeros(key.size))
     node, msgs = key // 2 // n, key.size
-    node.setflags(write=False)
-    return (node, _operator(similarity(d.ravel()[first]), key // 2 % n, np.arange(msgs + 1), n),
+    halves = np.column_stack((np.ones(msgs), similarity(d.ravel()[first])))
+    pad = [_operator(np.ones(n), own.ravel(), np.clip(np.arange(2 * n + 1) - lead, 0, n), n)
+           for lead in (0, n)]
+    return (*pad,
+            _operator(halves.ravel(), np.column_stack((node, n + key // 2 % n)).ravel(),
+                      np.arange(0, 2 * msgs + 1, 2), 2 * n),
             _operator(uses / k, np.arange(msgs), np.searchsorted(node, np.arange(n + 1)), msgs),
             _operator(1.0 / size, row, np.r_[0, np.cumsum(np.tile(widths, n))], msgs))
 
@@ -198,12 +208,11 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
     if len(params) != 2 * cfg.layers:
         raise ShapeError(f"{len(params)} params for layers={cfg.layers} (w_msg, w) pairs")
     n, k = g.n, fam.k
-    node, member, to_h, to_z = _message_table(dm, fam, cfg.closest_node_agg)
+    top, bottom, member, to_h, to_z = _message_table(dm, fam, cfg.closest_node_agg)
     h = tape.leaf(g.features)
     for w_msg in params[::2]:
-        msg = tape.relu(tape.matmul(tape.concat_cols(tape.gather_rows(h, node),
-                                                     tape.spmm(member, h)),
-                                    tape.leaf(w_msg)))
+        both = tape.concat_cols(tape.spmm(top, h), tape.spmm(bottom, h))  # [[h, 0], [0, h]]
+        msg = tape.relu(tape.spmm(member, tape.matmul(both, tape.leaf(w_msg))))
         h = tape.spmm(to_h, msg)
     z = tape.spmm(to_z, tape.matmul(msg, tape.leaf(params[-1])))  # each pair's slot mean
     return Embeddings(z=tape.reshape(z, n, k), h=h)

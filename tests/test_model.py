@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pgnn.graph import Graph, connected_caveman, constant_features, grid_graph
+from pgnn.graph import (Graph, augment_one_hot, connected_caveman, constant_features,
+                        grid_graph)
 from pgnn.metric import (UNREACHABLE, AnchorFamily, all_pairs, closest_members,
                          sample_anchor_family, truncate)
 from pgnn.model import (
@@ -199,6 +200,13 @@ def _reference_cases(closest):
         ("3 layers shuffled", walk, _shuffled(sample_anchor_family(30, 2.0, 7), 2),
          dict(layers=3, message_dim=6)),
     ]
+    # one-hot ids (the transductive setting): d = n, the widest layer-1 input
+    cases.append(("caveman one-hot", augment_one_hot(cave), sample_anchor_family(64, 1.0, 8),
+                  dict(layers=2, message_dim=8)))
+    if not closest:  # 2-hop truncation leaves most (node, member) pairs out of reach
+        cases.append(("grid fast, unreachable members", feats(grid_graph(12, 12), 2),
+                      sample_anchor_family(144, 1.0, 9),
+                      dict(layers=2, message_dim=8, variant="fast")))
     if closest:
         cases.append(("grid k=162", constant_features(grid_graph(20, 20)),
                       sample_anchor_family(400, 2.0, 0),
@@ -251,7 +259,7 @@ def test_tape_nodes_per_forward_do_not_depend_on_k(closest):
         tape = Tape()
         pgnn_forward(tape, g, dm, fam, params, cfg)
         nodes.append(len(tape))
-    assert nodes == [19, 19]
+    assert nodes == [21, 21]
 
 
 @pytest.mark.parametrize("closest", [True, False])
@@ -261,10 +269,10 @@ def test_message_table_arrays_are_read_only(closest):
     g = constant_features(connected_caveman(6, 6, 0.1, seed=2))
     cfg = PGNNConfig(variant="fast", closest_node_agg=closest)
     fam = sample_anchor_family(g.n, 1.0, seed=3)
-    node, *ops = _message_table(make_distance_input(g, cfg), fam, closest)
+    ops = _message_table(make_distance_input(g, cfg), fam, closest)
+    assert len(ops) == 5  # top, bottom, member, to_h, to_z
     mats = [m for op in ops for m in op]
-    assert not any(a.flags.writeable
-                   for a in [node] + [a for m in mats for a in (m.data, m.indices, m.indptr)])
+    assert not any(a.flags.writeable for m in mats for a in (m.data, m.indices, m.indptr))
     # mean mode: a Z cell lists its messages in member order, not sorted, and
     # two unreachable members of one set share one message there
     merged = [m for m in mats if not m.has_canonical_format]
@@ -326,19 +334,21 @@ def test_each_distinct_message_is_computed_once(closest, monkeypatch):
                          provenance=fam.provenance + tuple((i, j + 100)
                                                            for i, j in fam.provenance),
                          c=fam.c, seed=fam.seed)
-    rows = []
-    matmul = Tape.matmul
+    rows = {"matmul": [], "relu": []}
+    for kind in rows:
+        def counting(tape, *args, _op=getattr(Tape, kind), _kind=kind):
+            out = _op(tape, *args)
+            rows[_kind].append(out.shape[0])
+            return out
 
-    def counting(tape, a, b):
-        out = matmul(tape, a, b)
-        rows.append(out.shape[0])
-        return out
-
-    monkeypatch.setattr(Tape, "matmul", counting)
+        monkeypatch.setattr(Tape, kind, counting)
     once = pgnn_forward(Tape(), g, dm, fam, params, cfg)
     emb = pgnn_forward(Tape(), g, dm, twice, params, cfg)
-    # rows[0] and rows[3]: the first layer's message matmul of each forward
-    assert rows[0] == rows[3] == _distinct_messages(dm, fam, closest)
+    # per forward: each layer's relu is its message array, and its matmul has
+    # 2n rows ([h W_top; h W_bot]); the last matmul projects the messages for Z
+    distinct = _distinct_messages(dm, fam, closest)
+    assert rows["relu"] == [distinct] * 4
+    assert rows["matmul"] == [2 * g.n, 2 * g.n, distinct] * 2
     assert np.array_equal(emb.z.data[:, :fam.k], emb.z.data[:, fam.k:])
     # every use count and k double, so each message keeps its weight exactly
     assert np.array_equal(emb.h.data, once.h.data)
