@@ -34,7 +34,7 @@ from .tensor import Tape
 from .train import SETTINGS, TrainConfig, evaluate, model_label, run_experiment
 
 CHECKPOINT_MAGIC = b"PGNNCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -255,9 +255,19 @@ def load_checkpoint(path: str) -> tuple[dict, list[np.ndarray]]:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         header = json.loads(read(hlen).decode("utf-8"))
+        specs = header.get("matrices") if isinstance(header, dict) else None
+        if not isinstance(specs, list) or not all(
+                isinstance(spec, dict) and all(type(spec.get(key)) is int and spec[key] >= 0
+                                               for key in ("rows", "cols"))
+                for spec in specs):
+            raise ValueError(f"{path}: malformed checkpoint header")
+        # checked before any read, so a huge declared shape allocates nothing
+        if sum(spec["rows"] * spec["cols"] * 8 for spec in specs) > (
+                os.fstat(fh.fileno()).st_size - fh.tell()):
+            raise ValueError(f"{path}: truncated checkpoint")
         matrices = [np.frombuffer(read(spec["rows"] * spec["cols"] * 8), dtype="<f8")
                     .reshape(spec["rows"], spec["cols"]).copy()
-                    for spec in header["matrices"]]
+                    for spec in specs]
     return header, matrices
 
 
@@ -291,11 +301,10 @@ def _cmd_generate(args) -> int:
 
 
 def _named_matrices(model_resolved: dict, arrays) -> list:
-    """(name, array) pairs; a PGNN list holds a (w_msg, w) pair per layer."""
-    if model_resolved["kind"] == "pgnn":
-        names = [f"layer{i // 2}.{('w_msg', 'w')[i % 2]}" for i in range(len(arrays))]
-    else:
-        names = [f"layer{i}.w" for i in range(len(arrays))]
+    """(name, array) pairs; a PGNN list holds each layer's w_msg, then the last layer's w."""
+    names = [f"layer{i}.w" for i in range(len(arrays))]
+    if model_resolved["kind"] == "pgnn":  # L + 1 arrays, so w is layer L - 1's
+        names = [f"layer{i}.w_msg" for i in range(len(arrays) - 1)] + [names[-2]]
     return list(zip(names, arrays))
 
 
@@ -339,6 +348,11 @@ def _cmd_eval(args) -> int:
         if header.get(key) != ours:
             raise ConfigError(f"config {key} {ours!r} does not match "
                               f"checkpoint {key} {header.get(key)!r}")
+    # a PGNN redraws its family from the seed; the GCN has none to draw
+    wants = int if isinstance(model_cfg, PGNNConfig) else type(None)
+    if type(header.get("anchor_seed", "")) is not wants:
+        raise ConfigError(f"cannot read checkpoint: {args.checkpoint}: "
+                          "malformed checkpoint header")
     g, split = _build_split(build, name, resolved)
     val_auc, test_auc = evaluate(g, split, model_cfg, train_cfg.setting, arrays,
                                  header["anchor_seed"])

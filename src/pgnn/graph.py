@@ -158,6 +158,14 @@ def check_caveman(n_comm: int, comm_size: int, rewire_prob: float, seed: int) ->
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+def _move_edge(nbrs: list[set[int]], u: int, old: int, new: int) -> None:
+    """Replace the edge (u, old) by (u, new) in per-node neighbour sets."""
+    nbrs[u].remove(old)
+    nbrs[old].remove(u)
+    nbrs[u].add(new)
+    nbrs[new].add(u)
+
+
 def connected_caveman(n_comm: int, comm_size: int, rewire_prob: float,
                       seed: int) -> Graph:
     """Ring of cliques with optional random edge rewiring.
@@ -193,6 +201,10 @@ def connected_caveman(n_comm: int, comm_size: int, rewire_prob: float,
         edge_set.add((min(u, v), max(u, v)))
 
     rng = np.random.default_rng(seed)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for a, b in edge_set:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
     for edge in sorted(edge_set):
         if rng.random() >= rewire_prob:
             continue
@@ -202,16 +214,12 @@ def connected_caveman(n_comm: int, comm_size: int, rewire_prob: float,
             cand = (min(u, x), max(u, x))
             if x == u or cand in edge_set:
                 continue
-            edge_set.discard(edge)
-            edge_set.add(cand)
-            nbrs: list[list[int]] = [[] for _ in range(n)]
-            for a, b in edge_set:
-                nbrs[a].append(b)
-                nbrs[b].append(a)
+            _move_edge(nbrs, u, old, x)
             if len(component_sizes(nbrs)) == 1:
+                edge_set.discard(edge)
+                edge_set.add(cand)
                 break
-            edge_set.discard(cand)
-            edge_set.add(edge)
+            _move_edge(nbrs, u, x, old)
 
     labels = np.repeat(np.arange(n_comm, dtype=np.int64), comm_size)
     return Graph.from_edges(n, edge_set, labels=labels)

@@ -86,8 +86,8 @@ def init_pgnn_params(d_in: int, cfg: PGNNConfig,
                      rng: np.random.Generator) -> list[np.ndarray]:
     """Uniform +-sqrt(6 / (fan_in + fan_out)) init; layer l+1 input dim is r.
 
-    Returns [w_msg0, w0, w_msg1, w1, ...] in checkpoint order: per layer the
-    2d x r message map (d the layer's input width) and the r x 1 output vector.
+    Returns [w_msg0, ..., w_msg{L-1}, w] in checkpoint order: each layer's
+    2d x r message map (d its input width), then the r x 1 output vector.
     """
     if d_in < 1:
         raise ValueError(f"d_in must be >= 1, got {d_in}")
@@ -96,9 +96,9 @@ def init_pgnn_params(d_in: int, cfg: PGNNConfig,
     dim = d_in
     for _ in range(cfg.layers):
         params.append(_glorot(rng, 2 * dim, r, (2 * dim, r)))
-        params.append(_glorot(rng, r, 1, (r, 1)))
+        w = _glorot(rng, r, 1, (r, 1))  # drawn every layer to keep seeded runs' draws
         dim = r
-    return params
+    return params + [w]
 
 
 def init_gcn_params(d_in: int, cfg: GCNConfig,
@@ -205,12 +205,12 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
     listing every set twice.
     """
     _check_forward_args(g, dm, fam)
-    if len(params) != 2 * cfg.layers:
-        raise ShapeError(f"{len(params)} params for layers={cfg.layers} (w_msg, w) pairs")
+    if len(params) != cfg.layers + 1:
+        raise ShapeError(f"{len(params)} params for layers={cfg.layers} (a w_msg each, then w)")
     n, k = g.n, fam.k
     top, bottom, member, to_h, to_z = _message_table(dm, fam, cfg.closest_node_agg)
     h = tape.leaf(g.features)
-    for w_msg in params[::2]:
+    for w_msg in params[:-1]:
         both = tape.concat_cols(tape.spmm(top, h), tape.spmm(bottom, h))  # [[h, 0], [0, h]]
         msg = tape.relu(tape.spmm(member, tape.matmul(both, tape.leaf(w_msg))))
         h = tape.spmm(to_h, msg)

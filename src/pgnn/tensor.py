@@ -243,10 +243,9 @@ class Tape:
         """Gradients of a scalar terminal w.r.t. every leaf on the tape.
 
         Returns a table keyed by leaf id.  Leaves that do not reach the
-        terminal (including unused parameters) get exact zeros.  A non-leaf
-        node's gradient is dropped once it has been passed to its parents.
-        The tape is not mutated, so calling backward again gives identical
-        results.
+        terminal get exact zeros.  A non-leaf node's gradient is dropped
+        once it has been passed to its parents.  The tape is not mutated,
+        so calling backward again gives identical results.
         """
         self._own(terminal)
         if terminal.shape != (1, 1):

@@ -131,7 +131,7 @@ def reference_pgnn_forward(g: Graph, dm, fam, params, closest: bool):
     own = np.arange(n)
     order = sorted(range(k), key=lambda m: (fam.provenance[m], m))
     h = np.asarray(g.features, dtype=np.float64)
-    for w_msg in params[::2]:
+    for w_msg in params[:-1]:
         blocks = []
         for members in fam.sets:
             mem = np.array(members, dtype=np.int64)

@@ -75,9 +75,8 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert header["model"]["kind"] == "pgnn"
     assert header["sha256"] == {}
     assert [m["name"] for m in header["matrices"]] == [
-        "layer0.w_msg", "layer0.w", "layer1.w_msg", "layer1.w"]
-    assert arrays[0].shape == (2, 8)
-    assert arrays[1].shape == (8, 1)
+        "layer0.w_msg", "layer1.w_msg", "layer1.w"]
+    assert [a.shape for a in arrays] == [(2, 8), (16, 8), (8, 1)]
 
 
 def test_train_seed_and_repeats_overrides(tmp_path, capsys):
@@ -499,8 +498,9 @@ def test_eval_rejects_a_setting_other_than_the_checkpoints(tmp_path, capsys, mon
 
 
 def test_eval_rejects_an_unreadable_checkpoint(tmp_path, capsys):
-    """A missing checkpoint, or one of another format version, exits 1."""
-    cfg = write_config(tmp_path / "cfg.json")
+    """A missing checkpoint, one of another format version, or one with a
+    malformed header exits 1."""
+    cfg = write_config(tmp_path / "cfg.json", model={"kind": "gcn"})
     missing = tmp_path / "nope.ckpt"
     assert main(["eval", "--config", cfg, "--checkpoint", str(missing)]) == 1
     assert capsys.readouterr().err == ("error: cannot read checkpoint: [Errno 2] No such "
@@ -508,11 +508,46 @@ def test_eval_rejects_an_unreadable_checkpoint(tmp_path, capsys):
     old = tmp_path / "old.ckpt"
     save_checkpoint(str(old), {}, [])
     blob = bytearray(old.read_bytes())
-    blob[8:12] = (1).to_bytes(4, "little")
-    old.write_bytes(bytes(blob))
-    assert main(["eval", "--config", cfg, "--checkpoint", str(old)]) == 1
-    assert capsys.readouterr().err == (f"error: cannot read checkpoint: {old}: "
-                                       "unsupported checkpoint version 1\n")
+    for version in (1, 2):
+        blob[8:12] = version.to_bytes(4, "little")
+        old.write_bytes(bytes(blob))
+        assert main(["eval", "--config", cfg, "--checkpoint", str(old)]) == 1
+        assert capsys.readouterr().err == (f"error: cannot read checkpoint: {old}: "
+                                           f"unsupported checkpoint version {version}\n")
+
+    # a PGNN without an integer anchor_seed would redraw its family at random;
+    # a declared shape the file cannot hold must fail before any allocation
+    malformed = "malformed checkpoint header"
+    pgnn = write_config(tmp_path / "pgnn.json")
+    for config, edits in ((cfg, [(lambda h: h.pop("matrices"), malformed),
+                                 (lambda h: h["matrices"][0].update(rows="6"), malformed),
+                                 (lambda h: h.pop("anchor_seed"), malformed),
+                                 (lambda h: h["matrices"][0].update(rows=2 ** 40),
+                                  "truncated checkpoint")]),
+                          (pgnn, [(lambda h: h.update(anchor_seed=None), malformed)])):
+        _assert_edited_header_exits_1(tmp_path, capsys, config, edits)
+
+
+def _assert_edited_header_exits_1(tmp_path, capsys, cfg, edits):
+    """Train ``cfg``, then eval its checkpoint with each (edit, message) applied to
+    the header in turn."""
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
+    capsys.readouterr()
+    blob = ckpt.read_bytes()
+    hlen = int.from_bytes(blob[12:16], "little")
+    for edit, message in edits:
+        header = json.loads(blob[16:16 + hlen])
+        edit(header)
+        raw = json.dumps(header).encode("utf-8")
+        ckpt.write_bytes(blob[:12] + len(raw).to_bytes(4, "little") + raw
+                         + blob[16 + hlen:])
+        epath = tmp_path / "eval.json"
+        assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt),
+                     "--out", str(epath)]) == 1
+        assert capsys.readouterr().err == (f"error: cannot read checkpoint: {ckpt}: "
+                                           f"{message}\n")
+        assert not epath.exists()
 
 
 @pytest.mark.parametrize("kind", ["grid", "communities", "edge_list"])

@@ -123,6 +123,23 @@ def test_caveman_rewiring_is_pinned():
         assert hashlib.sha256(edges).hexdigest() == digest
 
 
+def test_caveman_high_rewire_is_pinned_and_undoes_disconnecting_swaps(monkeypatch):
+    # this config proposes swaps that disconnect the graph; each is undone
+    components = []
+
+    def spy(adjacency):
+        components.append(len(component_sizes(adjacency)))
+        return component_sizes(adjacency)
+
+    monkeypatch.setattr(graph, "component_sizes", spy)
+    g = connected_caveman(5, 3, 1.0, seed=2)
+    edges = repr(sorted(g.edges())).encode()
+    assert hashlib.sha256(edges).hexdigest() == (
+        "3ed0ff25892fb56798183aba959906a818cdf3139180b604e96b3eca991a46a9")
+    assert any(count > 1 for count in components)
+    assert g.is_connected()
+
+
 def test_component_sizes_follow_smallest_node_id():
     g = Graph.from_edges(6, [(0, 3), (2, 4), (4, 5)])
     assert component_sizes(g.adjacency) == [2, 1, 3]

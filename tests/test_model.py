@@ -8,6 +8,7 @@ from pgnn.metric import (UNREACHABLE, AnchorFamily, all_pairs, closest_members,
 from pgnn.model import (
     GCNConfig,
     PGNNConfig,
+    _glorot,
     _message_table,
     gcn_forward,
     init_gcn_params,
@@ -54,10 +55,15 @@ def test_config_validation():
 def test_init_shapes_bounds_and_determinism():
     cfg = PGNNConfig(layers=2, message_dim=8)
     params = init_pgnn_params(3, cfg, np.random.default_rng(0))
-    # [w_msg0, w0, w_msg1, w1]: the checkpoint's layer{i}.w_msg / layer{i}.w order
-    assert [p.shape for p in params] == [(6, 8), (8, 1), (16, 8), (8, 1)]
+    # [w_msg0, w_msg1, w]: the checkpoint's layer{i}.w_msg, then layer1.w
+    assert [p.shape for p in params] == [(6, 8), (16, 8), (8, 1)]
     bound0 = np.sqrt(6.0 / (6 + 8))
     assert np.abs(params[0]).max() <= bound0
+    # every layer still draws an output vector, so seeded runs keep their draws
+    rng = np.random.default_rng(0)
+    old = [_glorot(rng, *shape, shape) for shape in ((6, 8), (8, 1), (16, 8), (8, 1))]
+    for a, b in zip(params, (old[0], old[2], old[3])):
+        assert np.array_equal(a, b)
     again = init_pgnn_params(3, cfg, np.random.default_rng(0))
     for a, b in zip(params, again):
         assert np.array_equal(a, b)
@@ -379,7 +385,7 @@ def test_position_aware_reduces_to_gcn_on_singleton_sets():
     gcn_cfg = GCNConfig(layers=2, message_dim=5)
     weights = init_gcn_params(3, gcn_cfg, np.random.default_rng(3))
 
-    params = [a for w in weights for a in (np.vstack([np.zeros_like(w), w]), np.zeros((5, 1)))]
+    params = [np.vstack([np.zeros_like(w), w]) for w in weights] + [np.zeros((5, 1))]
 
     cfg = PGNNConfig(layers=2, message_dim=5)
     one_hop = truncate(all_pairs(g), 1)
@@ -478,3 +484,4 @@ def test_full_model_gradient_check(closest):
         analytic = table[leaves[idx].id]
         numeric = numeric_grad(f, arr)
         assert max_rel_err(analytic, numeric) < 1e-4
+        assert np.any(analytic != 0)  # the forward reads every parameter
