@@ -31,7 +31,8 @@ from .metric import (AnchorFamily, DisconnectedGraphError, all_pairs,
 from .model import (GCNConfig, PGNNConfig, gcn_forward, init_gcn_params,
                     init_pgnn_params, pgnn_forward)
 from .tensor import Tape
-from .train import SETTINGS, TrainConfig, evaluate, model_label, run_experiment
+from .train import (SETTINGS, TrainConfig, _forward_graph, evaluate, model_label,
+                    run_experiment)
 
 CHECKPOINT_MAGIC = b"PGNNCKPT"
 CHECKPOINT_VERSION = 3
@@ -354,6 +355,13 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"cannot read checkpoint: {args.checkpoint}: "
                           "malformed checkpoint header")
     g, split = _build_split(build, name, resolved)
+    init = init_pgnn_params if isinstance(model_cfg, PGNNConfig) else init_gcn_params
+    width = _forward_graph(g, split, train_cfg.setting).features.shape[1]
+    fits = [p.shape for p in init(width, model_cfg, np.random.default_rng(0))]
+    shapes = [a.shape for a in arrays]
+    if shapes != fits:
+        raise ConfigError(f"cannot read checkpoint: {args.checkpoint}: matrix shapes "
+                          f"{shapes} do not fit the model's {fits}")
     val_auc, test_auc = evaluate(g, split, model_cfg, train_cfg.setting, arrays,
                                  header["anchor_seed"])
     payload = {

@@ -140,15 +140,25 @@ def _operator(data, indices, indptr, cols: int):
 
 
 @lru_cache(maxsize=1)
+def _pad(n: int):
+    """top = [I; 0] and bottom = [0; I] as (S, S.T) operators (2n x n each,
+    n entries): they pad h into the two halves of the block diagonal
+    [[h, 0], [0, h]].  Memoized on the last n."""
+    own = np.arange(n, dtype=np.int64)
+    return tuple(_operator(np.ones(n), own, np.clip(np.arange(2 * n + 1) - lead, 0, n), n)
+                 for lead in (0, n))
+
+
+@lru_cache(maxsize=1)
 def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
     """Five (S, S.T) operators: top, bottom, member, to_h and to_z.
 
-    top = [I; 0] and bottom = [0; I] (2n x n each, n entries) pad h into
-    the two halves of the block diagonal [[h, 0], [0, h]].  Closest mode
-    keeps each (node, set)'s nearest member (ties to the lowest id), mean
-    mode every member; empty sets get no slots.  A member out of reach
-    becomes the node itself with similarity 0, zeroing that half.  A
-    message is a distinct (node, member, reachable) key, in key order.
+    top and bottom are ``_pad(n)``'s padding maps, shared by every family
+    on n nodes.  Closest mode keeps each (node, set)'s nearest member (ties
+    to the lowest id), mean mode every member; empty sets get no slots.  A
+    member out of reach becomes the node itself with similarity 0, zeroing
+    that half.  A message is a distinct (node, member, reachable) key, in
+    key order.
     member (messages x 2n) holds 1.0 at column node, then its similarity at
     column n + member; to_h (n x messages) its weight in H, (1/k) * the sum
     of 1 / (slots of the pair) over its slots, added as integer slot counts
@@ -175,9 +185,7 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
                 for m in np.unique(widths[widths > 0])), np.zeros(key.size))
     node, msgs = key // 2 // n, key.size
     halves = np.column_stack((np.ones(msgs), similarity(d.ravel()[first])))
-    pad = [_operator(np.ones(n), own.ravel(), np.clip(np.arange(2 * n + 1) - lead, 0, n), n)
-           for lead in (0, n)]
-    return (*pad,
+    return (*_pad(n),
             _operator(halves.ravel(), np.column_stack((node, n + key // 2 % n)).ravel(),
                       np.arange(0, 2 * msgs + 1, 2), 2 * n),
             _operator(uses / k, np.arange(msgs), np.searchsorted(node, np.arange(n + 1)), msgs),
@@ -218,6 +226,24 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
     return Embeddings(z=tape.reshape(z, n, k), h=h)
 
 
+@lru_cache(maxsize=1)
+def _gcn_index(adjacency: tuple[tuple[int, ...], ...]):
+    """The GCN's neighbour positions (width x n), their weights and the self
+    weight, read-only.  One gather per neighbour position, added in adjacency
+    order (a node past its degree gathers itself at weight 0): keeps mirror
+    nodes bit-identical.  Memoized on the last adjacency (``Graph`` with
+    features is not hashable)."""
+    n = len(adjacency)
+    width = max(map(len, adjacency), default=0)
+    position = np.array([[a[j] if j < len(a) else v for v, a in enumerate(adjacency)]
+                         for j in range(width)], dtype=np.int64).reshape(width, n)
+    index = (position, np.where(position != np.arange(n), 0.5 / n, 0.0)[:, :, None],
+             np.full((n, 1), 1.0 / n))
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
 def gcn_forward(tape: Tape, g: Graph, weights: list[np.ndarray],
                 layers: int) -> Value:
     """Degenerate special case: every node its own anchor set, 1-hop weights.
@@ -230,14 +256,7 @@ def gcn_forward(tape: Tape, g: Graph, weights: list[np.ndarray],
         raise ValueError("gcn_forward needs node features on the graph")
     if len(weights) != layers:
         raise ShapeError(f"{len(weights)} weight matrices for layers={layers}")
-    n = g.n
-    # One gather per neighbor position, added in adjacency order (a node past
-    # its degree gathers itself at weight 0): keeps mirror nodes bit-identical.
-    width = max(map(len, g.adjacency), default=0)
-    position = np.array([[a[j] if j < len(a) else v for v, a in enumerate(g.adjacency)]
-                         for j in range(width)], dtype=np.int64).reshape(width, n)
-    position_w = np.where(position != np.arange(n), 0.5 / n, 0.0)[:, :, None]
-    self_w = np.full((n, 1), 1.0 / n)
+    position, position_w, self_w = _gcn_index(g.adjacency)
     h = tape.leaf(g.features)
     for w in weights:
         msg = tape.relu(tape.matmul(h, tape.leaf(w)))

@@ -5,6 +5,12 @@ nodes.  :meth:`Tape.backward` walks the recording in reverse topological
 order from a scalar terminal and returns the gradient of every leaf,
 summing over repeated uses.  There is no broadcasting beyond the explicit
 ``scale_rows`` op and no in-place mutation anywhere on the tape.
+
+Finite checks run where bad values can enter or leave the tape: on leaves,
+on ``scale_rows``' scale, on the loss ``bce_with_logits`` returns and on the
+gradients ``adam_step`` takes.  Op outputs are not scanned: on finite inputs
+an op goes non-finite only by overflowing, and the loss or the gradients
+then carry it.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix
 from scipy.special import expit
 
 
@@ -22,12 +28,17 @@ class ShapeError(ValueError):
 
 
 def _checked(a: np.ndarray) -> np.ndarray:
-    """``a`` marked read-only, once it is known to be 2-d and finite."""
+    """``a`` marked read-only, once it is known to be 2-d; finiteness is
+    checked at the tape's boundary, not here."""
     if a.ndim != 2:
         raise ShapeError(f"matrix must be 2-d, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
     a.setflags(write=False)
+    return a
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite (no NaN/Inf)")
     return a
 
 
@@ -89,10 +100,11 @@ class Tape:
             memo = self._leaf_memo.get(id(values))
             if memo is not None:
                 return Value(self, memo[1], self._nodes[memo[1]].data)
-            out = self._record(np.array(values, dtype=np.float64), (), None)
+        out = self._record(_finite(np.array(values, dtype=np.float64), "matrix entries"),
+                           (), None)
+        if isinstance(values, np.ndarray):
             self._leaf_memo[id(values)] = (values, out.id)
-            return out
-        return self._record(np.array(values, dtype=np.float64), (), None)
+        return out
 
     # ------------------------------------------------------------------
     # ops
@@ -135,6 +147,7 @@ class Tape:
         sd = np.asarray(s, dtype=np.float64)
         if sd.shape != (a.shape[0], 1):
             raise ShapeError(f"scale_rows: {a.shape} vs scale {sd.shape}")
+        _finite(sd, "scale_rows: scale")
 
         def back(g):
             return (g * sd,)
@@ -156,7 +169,9 @@ class Tape:
         """Select rows of ``a`` by index; gradient scatters back by sum.
 
         The index vector is data, not a differentiable input.  The backward
-        adds the rows in index order, as ``np.add.at`` on zeros.
+        multiplies by the transpose of the pick matrix (row i holds 1.0 at
+        column idx[i]), listed column by column in CSC, so each output row
+        adds its rows in index order, as ``np.add.at`` on zeros.
         """
         self._own(a)
         rows = a.shape[0]
@@ -167,9 +182,9 @@ class Tape:
             raise ValueError("gather_rows: index out of range")
 
         def back(g):
-            scatter = csr_matrix((np.ones(ix.size), (ix, np.arange(ix.size))),
-                                 shape=(rows, ix.size))
-            return (scatter @ g,)
+            pick_t = csc_matrix((np.ones(ix.size), ix, np.arange(ix.size + 1)),
+                                shape=(rows, ix.size))
+            return (pick_t @ g,)
 
         return self._record(a.data[ix], (a.id,), back)
 
@@ -214,8 +229,9 @@ class Tape:
         """Mean binary cross-entropy over a column of logits.
 
         Computed in the stable branch form log(1 + exp(-x)) + (1 - y) * x,
-        so loss and gradient stay finite for any logit magnitude.  Targets
-        are plain 0/1 data, not a tape input.
+        so loss and gradient stay finite for any finite logit.  Targets
+        are plain 0/1 data, not a tape input.  A non-finite loss (an
+        upstream op overflowed) raises ValueError.
         """
         self._own(logits)
         if logits.shape[1] != 1:
@@ -229,7 +245,7 @@ class Tape:
         x = logits.data
         m = x.shape[0]
         per = np.logaddexp(0.0, -x) + (1.0 - t) * x
-        out = np.array([[per.mean()]])
+        out = _finite(np.array([[per.mean()]]), "bce_with_logits: loss")
 
         def back(g):
             return (g[0, 0] * (expit(x) - t) / m,)
@@ -285,7 +301,10 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
               state: AdamState | None, lr: float = 0.01, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8,
               ) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; pure, returns new params and state."""
+    """One bias-corrected Adam update; pure, returns new params and state.
+
+    A NaN or Inf gradient raises ValueError.
+    """
     if len(params) != len(grads):
         raise ShapeError(f"adam_step: {len(params)} params vs {len(grads)} grads")
     if state is None:
@@ -299,6 +318,7 @@ def adam_step(params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
             raise ShapeError(f"adam_step: param {p.shape} vs grad {g.shape}")
         if m.shape != p.shape or v.shape != p.shape:
             raise ShapeError(f"adam_step: state moments {m.shape} vs param {p.shape}")
+        _finite(g, "adam_step: gradient")
         m2 = beta1 * m + (1.0 - beta1) * g
         v2 = beta2 * v + (1.0 - beta2) * g * g
         m_hat = m2 / (1.0 - beta1 ** t)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -115,10 +116,11 @@ def pair_score(emb, u: int, v: int) -> float:
 
 def _pair_index(pos, neg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Endpoints u and v of the pairs pos + neg, and their 1/0 labels."""
-    pairs = np.array(list(pos) + list(neg), dtype=np.int64).reshape(-1, 2)
+    ends = np.fromiter(chain.from_iterable(chain(pos, neg)), np.int64,
+                       2 * (len(pos) + len(neg)))
     labels = np.concatenate([np.ones(len(pos), dtype=np.int64),
                              np.zeros(len(neg), dtype=np.int64)])
-    return pairs[:, 0], pairs[:, 1], labels
+    return ends[0::2], ends[1::2], labels
 
 
 def epoch_loss(tape: Tape, z: Value, pos_pairs, neg_pairs) -> Value:
@@ -136,12 +138,15 @@ def epoch_loss(tape: Tape, z: Value, pos_pairs, neg_pairs) -> Value:
 def roc_auc(scores, labels) -> float:
     """Exact ROC AUC by rank statistics; tied scores count one half.
 
-    Raises ValueError when only one class is present (the area is undefined).
+    Raises ValueError when only one class is present (the area is undefined)
+    and on NaN or Inf scores, which an overflowed forward gives.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.ndim != 1 or y.shape != s.shape:
         raise ValueError(f"scores {s.shape} and labels {y.shape} must be equal-length vectors")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("scores must be finite (no NaN/Inf)")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be 0 or 1")
     p = int((y == 1).sum())

@@ -498,8 +498,8 @@ def test_eval_rejects_a_setting_other_than_the_checkpoints(tmp_path, capsys, mon
 
 
 def test_eval_rejects_an_unreadable_checkpoint(tmp_path, capsys):
-    """A missing checkpoint, one of another format version, or one with a
-    malformed header exits 1."""
+    """A missing checkpoint, one of another format version, one with a
+    malformed header, or one whose matrices do not fit the model exits 1."""
     cfg = write_config(tmp_path / "cfg.json", model={"kind": "gcn"})
     missing = tmp_path / "nope.ckpt"
     assert main(["eval", "--config", cfg, "--checkpoint", str(missing)]) == 1
@@ -526,6 +526,27 @@ def test_eval_rejects_an_unreadable_checkpoint(tmp_path, capsys):
                                   "truncated checkpoint")]),
                           (pgnn, [(lambda h: h.update(anchor_seed=None), malformed)])):
         _assert_edited_header_exits_1(tmp_path, capsys, config, edits)
+
+    # header and payload agree, but the matrices do not fit the config's model
+    deep = write_config(tmp_path / "deep.json",
+                        model={"kind": "pgnn", "layers": 3, "message_dim": 8})
+    ckpt = tmp_path / "fit.ckpt"
+    for config, edit, shapes in (
+            (cfg, lambda named: named[:-1], "[(1, 32)] do not fit the model's [(1, 32), (32, 32)]"),
+            (deep, lambda named: named[:-1], "[(2, 8), (16, 8), (16, 8)] do not fit the model's "
+                                             "[(2, 8), (16, 8), (16, 8), (8, 1)]"),
+            (cfg, lambda named: [(named[0][0], named[0][1].T)] + named[1:],
+             "[(32, 1), (32, 32)] do not fit the model's [(1, 32), (32, 32)]")):
+        assert main(["train", "--config", config, "--out", str(tmp_path / "fit.json")]) == 0
+        header, arrays = load_checkpoint(str(ckpt))
+        save_checkpoint(str(ckpt), header, edit([(spec["name"], a) for spec, a
+                                                 in zip(header["matrices"], arrays)]))
+        capsys.readouterr()
+        assert main(["eval", "--config", config, "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval.json")]) == 1
+        assert capsys.readouterr().err == (f"error: cannot read checkpoint: {ckpt}: "
+                                           f"matrix shapes {shapes}\n")
+        assert not (tmp_path / "eval.json").exists()
 
 
 def _assert_edited_header_exits_1(tmp_path, capsys, cfg, edits):

@@ -9,6 +9,7 @@ from pgnn.model import (
     GCNConfig,
     PGNNConfig,
     _glorot,
+    _gcn_index,
     _message_table,
     gcn_forward,
     init_gcn_params,
@@ -423,6 +424,22 @@ def test_gcn_matches_neighbor_position_reference():
                               np.random.default_rng(4))
     out = gcn_forward(Tape(), g, weights, layers=3).data
     assert np.array_equal(out, reference_gcn_forward(g, weights))
+
+
+def test_gcn_index_memo_follows_its_inputs():
+    """Graph A, then B, then A again: each forward matches the reference."""
+    rng = np.random.default_rng(17)
+    graphs = []
+    for n, extra in ((10, 5), (13, 9)):
+        tree = random_connected_graph(n, rng, extra_edges=extra)
+        graphs.append(Graph(n=n, adjacency=tree.adjacency,
+                            features=rng.standard_normal((n, 3))))
+    weights = init_gcn_params(3, GCNConfig(layers=2, message_dim=4),
+                              np.random.default_rng(8))
+    for g in (graphs[0], graphs[1], graphs[0]):
+        out = gcn_forward(Tape(), g, weights, layers=2).data
+        assert np.array_equal(out, reference_gcn_forward(g, weights))
+        assert not any(a.flags.writeable for a in _gcn_index(g.adjacency))
 
 
 def test_gcn_hand_oracle_on_triangle():

@@ -132,6 +132,19 @@ def test_row_scatter_adds_in_row_order_like_add_at():
         weighted = tape.hadamard(tape.gather_rows(src, idx), tape.leaf(vals))
         loss = tape.matmul(mean_rows(tape, weighted), tape.leaf(np.ones((cols, 1))))
         assert np.array_equal(tape.backward(loss)[src.id] * count, expected)
+    # the loss's shape (6,080 pairs of an 81-wide Z) and the GCN's (400 x 32);
+    # summed with ones, so each gathered row's gradient is its vals row exactly
+    for rows, count, cols in ((400, 6080, 81), (400, 400, 32)):
+        idx = rng.integers(0, rows, size=count)
+        vals = rng.standard_normal((count, cols)) * 10.0 ** rng.integers(-8, 8, (count, 1))
+        expected = np.zeros((rows, cols))
+        np.add.at(expected, idx, vals)
+        tape = Tape()
+        src = tape.leaf(np.zeros((rows, cols)))
+        weighted = tape.hadamard(tape.gather_rows(src, idx), tape.leaf(vals))
+        total = tape.matmul(tape.leaf(np.ones((1, count))), weighted)
+        loss = tape.matmul(total, tape.leaf(np.ones((cols, 1))))
+        assert np.array_equal(tape.backward(loss)[src.id], expected)
 
 
 def test_spmm_adds_each_row_in_its_listed_order():
@@ -186,6 +199,17 @@ def test_bce_is_finite_for_huge_logits():
     v = tape.bce_with_logits(big, [1.0, 1.0])
     assert np.isfinite(v.data[0, 0])
     assert v.data[0, 0] == pytest.approx(500.0, rel=1e-12)
+
+
+def test_overflowing_op_records_and_the_loss_raises():
+    """Op outputs are not scanned; an overflow is caught at the loss."""
+    tape = Tape()
+    big = tape.leaf(np.full((2, 2), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = tape.matmul(big, tape.leaf(np.full((2, 1), 1e200)))
+        assert np.all(np.isinf(logits.data))
+        with pytest.raises(ValueError, match="finite"):
+            tape.bce_with_logits(logits, [1.0, 0.0])
 
 
 def test_reused_input_accumulates_gradient():
@@ -361,3 +385,10 @@ def test_adam_state_shapes_validated():
     bad = AdamState(step=1, m=(np.zeros((1, 1)),), v=(np.zeros((1, 1)),))
     with pytest.raises(ShapeError):
         adam_step(params, [np.ones((2, 2))], bad)
+
+
+def test_adam_rejects_non_finite_gradients():
+    params = [np.ones((1, 2)), np.ones((2, 1))]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            adam_step(params, [np.zeros((1, 2)), np.array([[0.5], [bad]])], None)

@@ -12,6 +12,7 @@ from pgnn.train import (
     TrainConfig,
     _anchor_seed,
     _forward_graph,
+    _pair_index,
     epoch_loss,
     model_label,
     pair_score,
@@ -86,6 +87,28 @@ def test_roc_auc_input_validation():
         roc_auc([0.1, 0.2, 0.3], [1, 0])
     with pytest.raises(ValueError):
         roc_auc([[0.1, 0.2]], [[1, 0]])
+
+
+def test_roc_auc_rejects_non_finite_scores():
+    """An eval-only forward that overflowed is caught at its scores."""
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            roc_auc([0.9, bad, 0.1], [1, 0, 0])
+
+
+def test_pair_index_matches_the_list_built_arrays():
+    def listed(pos, neg):
+        pairs = np.array(list(pos) + list(neg), dtype=np.int64).reshape(-1, 2)
+        labels = np.concatenate([np.ones(len(pos), dtype=np.int64),
+                                 np.zeros(len(neg), dtype=np.int64)])
+        return pairs[:, 0], pairs[:, 1], labels
+
+    pos = ((0, 5), (1, 2), (3, 7))
+    for args in ((pos, ((2, 4), (0, 1))), ([list(p) for p in pos], [[2, 4]]), (pos, ()),
+                 ([], [])):
+        for got, want in zip(_pair_index(*args), listed(*args)):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
 
 
 def test_roc_auc_matches_pair_counting_oracle():
