@@ -199,6 +199,16 @@ def _run_identity(resolved: dict) -> dict:
     return identity
 
 
+def _check_outputs(ds: dict, outputs: dict, inputs: dict) -> None:
+    """Before any work, reject an output that would replace an input or an earlier output."""
+    files = {f"dataset.{key}": path for key, path in ds.items() if key.endswith("path")}
+    named = {os.path.realpath(p): flag for flag, p in {**files, **inputs}.items() if p is not None}
+    for flag, path in outputs.items():
+        other = named.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ConfigError(f"{flag} and {other} name the same file: {path}")
+
+
 # ----------------------------------------------------------------------
 # output helpers
 
@@ -289,14 +299,15 @@ def _dataset_section(args) -> dict:
 
 def _cmd_generate(args) -> int:
     build, _, ds, _ = _parse_dataset(_dataset_section(args))
-    g = build()
     if ds["kind"] == "grid":
-        write_edge_list(args.out, g, f"grid {ds['rows']}x{ds['cols']}")
+        write_edge_list(args.out, build(), f"grid {ds['rows']}x{ds['cols']}")
     else:
+        labels_path = os.path.splitext(args.out)[0] + ".labels"
+        _check_outputs(ds, {"--out": args.out, "its labels file": labels_path}, {})
+        g = build()
         header = "communities " + " ".join(
             f"{key}={value}" for key, value in ds.items() if key != "kind")
         write_edge_list(args.out, g, header)
-        labels_path = os.path.splitext(args.out)[0] + ".labels"
         write_node_labels(labels_path, g, header)
     return 0
 
@@ -322,6 +333,9 @@ def _build_split(build, name, resolved):
 def _cmd_train(args) -> int:
     build, name, model_cfg, train_cfg, resolved, identity = _parse_run_config(
         args.config, args.seed, args.repeats)
+    ckpt_path = args.checkpoint or os.path.splitext(args.out)[0] + ".ckpt"
+    _check_outputs(resolved["dataset"], {"--out": args.out, "--checkpoint": ckpt_path},
+                   {"--config": args.config})
     g, split = _build_split(build, name, resolved)
     t0 = time.perf_counter()
     metrics = run_experiment(g, split, model_cfg, train_cfg, dataset=name)
@@ -331,7 +345,6 @@ def _cmd_train(args) -> int:
     payload["config"] = resolved
     _write_json(args.out, payload)
     best = max(metrics.per_repeat, key=lambda r: (r.val_auc, -r.repeat))
-    ckpt_path = args.checkpoint or os.path.splitext(args.out)[0] + ".ckpt"
     save_checkpoint(ckpt_path, {**identity, "anchor_seed": best.anchor_seed,
                                 "best_epoch": best.best_epoch, "repeat": best.repeat},
                     _named_matrices(resolved["model"], best.snapshot))
@@ -341,6 +354,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     build, name, model_cfg, train_cfg, resolved, identity = _parse_run_config(args.config)
+    _check_outputs(resolved["dataset"], {"--out": args.out},
+                   {"--config": args.config, "--checkpoint": args.checkpoint})
     try:
         header, arrays = load_checkpoint(args.checkpoint)
     except (OSError, ValueError) as exc:

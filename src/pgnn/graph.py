@@ -205,24 +205,20 @@ def connected_caveman(n_comm: int, comm_size: int, rewire_prob: float,
     for a, b in edge_set:
         nbrs[a].add(b)
         nbrs[b].add(a)
-    for edge in sorted(edge_set):
+    for u, old in sorted(edge_set):
         if rng.random() >= rewire_prob:
             continue
-        u, old = edge
         for _ in range(20):
             x = int(rng.integers(n))
-            cand = (min(u, x), max(u, x))
-            if x == u or cand in edge_set:
+            if x == u or x in nbrs[u]:
                 continue
             _move_edge(nbrs, u, old, x)
             if len(component_sizes(nbrs)) == 1:
-                edge_set.discard(edge)
-                edge_set.add(cand)
                 break
             _move_edge(nbrs, u, x, old)
 
     labels = np.repeat(np.arange(n_comm, dtype=np.int64), comm_size)
-    return Graph.from_edges(n, edge_set, labels=labels)
+    return Graph(n=n, adjacency=tuple(tuple(sorted(s)) for s in nbrs), labels=labels)
 
 
 # ----------------------------------------------------------------------

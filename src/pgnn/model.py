@@ -129,36 +129,23 @@ def make_distance_input(g: Graph, cfg: PGNNConfig) -> DistanceMatrix:
 
 
 def _operator(data, indices, indptr, cols: int):
-    """Read-only (S, S.T) in CSR, built as listed: a COO build would sort each
-    row's columns and merge duplicates, and so reorder the row's sum."""
+    """Read-only S in CSR, built as listed: a COO build would sort each row's
+    columns and merge duplicates, and so reorder the row's sum."""
     s = csr_matrix((data, indices, indptr), shape=(indptr.size - 1, cols))
-    op = (s, s.T.tocsr())  # within a row of S.T, entries keep S's row order
-    for m in op:  # every caller of the memo shares these arrays
-        for a in (m.data, m.indices, m.indptr):
-            a.setflags(write=False)
-    return op
-
-
-@lru_cache(maxsize=1)
-def _pad(n: int):
-    """top = [I; 0] and bottom = [0; I] as (S, S.T) operators (2n x n each,
-    n entries): they pad h into the two halves of the block diagonal
-    [[h, 0], [0, h]].  Memoized on the last n."""
-    own = np.arange(n, dtype=np.int64)
-    return tuple(_operator(np.ones(n), own, np.clip(np.arange(2 * n + 1) - lead, 0, n), n)
-                 for lead in (0, n))
+    for a in (s.data, s.indices, s.indptr):  # every caller of the memo shares these arrays
+        a.setflags(write=False)
+    return s
 
 
 @lru_cache(maxsize=1)
 def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
-    """Five (S, S.T) operators: top, bottom, member, to_h and to_z.
+    """Five read-only CSR operators: top, bottom, member, to_h and to_z.
 
-    top and bottom are ``_pad(n)``'s padding maps, shared by every family
-    on n nodes.  Closest mode keeps each (node, set)'s nearest member (ties
-    to the lowest id), mean mode every member; empty sets get no slots.  A
-    member out of reach becomes the node itself with similarity 0, zeroing
-    that half.  A message is a distinct (node, member, reachable) key, in
-    key order.
+    top = [I; 0] and bottom = [0; I] (2n x n) pad h into [[h, 0], [0, h]].
+    Closest mode keeps each (node, set)'s nearest member (ties to the lowest
+    id), mean mode every member; empty sets get no slots.  A member out of
+    reach becomes the node itself with similarity 0, zeroing that half.  A
+    message is a distinct (node, member, reachable) key, in key order.
     member (messages x 2n) holds 1.0 at column node, then its similarity at
     column n + member; to_h (n x messages) its weight in H, (1/k) * the sum
     of 1 / (slots of the pair) over its slots, added as integer slot counts
@@ -185,7 +172,9 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
                 for m in np.unique(widths[widths > 0])), np.zeros(key.size))
     node, msgs = key // 2 // n, key.size
     halves = np.column_stack((np.ones(msgs), similarity(d.ravel()[first])))
-    return (*_pad(n),
+    pad = [_operator(np.ones(n), own.ravel(), np.clip(np.arange(2 * n + 1) - lead, 0, n), n)
+           for lead in (0, n)]
+    return (*pad,
             _operator(halves.ravel(), np.column_stack((node, n + key // 2 % n)).ravel(),
                       np.arange(0, 2 * msgs + 1, 2), 2 * n),
             _operator(uses / k, np.arange(msgs), np.searchsorted(node, np.arange(n + 1)), msgs),

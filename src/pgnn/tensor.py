@@ -188,19 +188,18 @@ class Tape:
 
         return self._record(a.data[ix], (a.id,), back)
 
-    def spmm(self, op, a: Value) -> Value:
-        """``S @ a`` for a fixed CSR ``op = (S, S.T)``; the backward is ``S.T @ g``.
+    def spmm(self, s, a: Value) -> Value:
+        """``S @ a`` for a fixed scipy CSR matrix ``s``; the backward is ``S.T @ g``.
 
         The operator is data, not a tape input.  scipy adds each row's stored
-        entries in their stored order.
-        """
+        entries in their stored order, and ``s.T``, a CSC view of the same
+        arrays, adds each gradient row's entries in S's row order."""
         self._own(a)
-        s, s_t = op
-        if s.shape[1] != a.shape[0] or s_t.shape != s.shape[::-1]:
-            raise ShapeError(f"spmm: {s.shape} (transpose {s_t.shape}) x {a.shape}")
+        if s.shape[1] != a.shape[0]:
+            raise ShapeError(f"spmm: {s.shape} x {a.shape}")
 
         def back(g):
-            return (s_t @ g,)
+            return (s.T @ g,)
 
         return self._record(s @ a.data, (a.id,), back)
 

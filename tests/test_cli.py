@@ -137,6 +137,54 @@ def test_eval_reproduces_selected_test_auc(tmp_path, capsys):
     capsys.readouterr()
 
 
+# (argv, the existing file the run would overwrite, the two flags naming it)
+_COLLISIONS = [
+    ("train default checkpoint", ["train", "--config", "g.json", "--out", "m.ckpt"],
+     "m.ckpt", ("--out", "--checkpoint")),
+    ("train checkpoint", ["train", "--config", "g.json", "--out", "m.json",
+                          "--checkpoint", "m.json"], "m.json", ("--out", "--checkpoint")),
+    ("train config", ["train", "--config", "g.json", "--out", "g.json"],
+     "g.json", ("--config", "--out")),
+    ("train config by symlink", ["train", "--config", "g.json", "--out", "link.json"],
+     "g.json", ("--config", "--out")),
+    ("train dataset file", ["train", "--config", "el.json", "--out", "el.edges"],
+     "el.edges", ("dataset.path", "--out")),
+    ("train checkpoint dataset file", ["train", "--config", "el.json", "--out", "m.json",
+                                       "--checkpoint", "el.labels"],
+     "el.labels", ("dataset.labels_path", "--checkpoint")),
+    ("eval checkpoint", ["eval", "--config", "g.json", "--checkpoint", "m.ckpt",
+                         "--out", "m.ckpt"], "m.ckpt", ("--checkpoint", "--out")),
+    ("eval config", ["eval", "--config", "g.json", "--checkpoint", "m.ckpt",
+                     "--out", "g.json"], "g.json", ("--config", "--out")),
+    ("eval dataset file", ["eval", "--config", "el.json", "--checkpoint", "m.ckpt",
+                           "--out", "el.labels"], "el.labels", ("dataset.labels_path", "--out")),
+    ("generate labels", ["generate", "communities", "3", "3", "0.0", "--out", "d.labels"],
+     "d.labels", ("--out", "its labels file")),
+]
+
+
+@pytest.mark.parametrize("argv, kept, flags", [c[1:] for c in _COLLISIONS],
+                         ids=[c[0] for c in _COLLISIONS])
+def test_output_naming_another_file_exits_1_and_keeps_it(tmp_path, capsys, monkeypatch,
+                                                         argv, kept, flags):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "g.json")
+    (tmp_path / "link.json").symlink_to(tmp_path / "g.json")
+    (tmp_path / "el.edges").write_text("0 1\n1 2\n2 3\n")
+    (tmp_path / "el.labels").write_text("0 0\n1 0\n2 1\n3 1\n")
+    write_config(tmp_path / "el.json", dataset={"kind": "edge_list", "path": "el.edges",
+                                                 "labels_path": "el.labels"})
+    for name in ("m.ckpt", "m.json", "d.labels"):
+        (tmp_path / name).write_bytes(b"existing bytes\n")
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "name the same file" in err
+    assert all(flag in err for flag in flags)
+    assert (tmp_path / kept).read_bytes() == files[kept]
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
 def test_unknown_config_keys_fail_fast(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", extra={"x": 1})
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 1

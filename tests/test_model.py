@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from pgnn.graph import (Graph, augment_one_hot, connected_caveman, constant_features,
                         grid_graph)
@@ -276,9 +277,8 @@ def test_message_table_arrays_are_read_only(closest):
     g = constant_features(connected_caveman(6, 6, 0.1, seed=2))
     cfg = PGNNConfig(variant="fast", closest_node_agg=closest)
     fam = sample_anchor_family(g.n, 1.0, seed=3)
-    ops = _message_table(make_distance_input(g, cfg), fam, closest)
-    assert len(ops) == 5  # top, bottom, member, to_h, to_z
-    mats = [m for op in ops for m in op]
+    mats = _message_table(make_distance_input(g, cfg), fam, closest)
+    assert len(mats) == 5  # top, bottom, member, to_h, to_z
     assert not any(a.flags.writeable for m in mats for a in (m.data, m.indices, m.indptr))
     # mean mode: a Z cell lists its messages in member order, not sorted, and
     # two unreachable members of one set share one message there
@@ -287,6 +287,27 @@ def test_message_table_arrays_are_read_only(closest):
     for m in merged:
         with pytest.raises(ValueError, match="read-only"):
             m.sum_duplicates()
+
+
+@pytest.mark.parametrize("closest", [True, False])
+def test_spmm_gradient_equals_a_stored_transpose(closest):
+    """Tape.spmm's backward, S.T @ g through scipy's CSC view of S, equals
+    the product with a CSR copy of S.T bit for bit on each message-table
+    operator (an empty set, and members out of the fast variant's reach),
+    and on a listed one-row operator that names a column twice."""
+    g = constant_features(path_graph(7))
+    cfg = PGNNConfig(variant="fast", closest_node_agg=closest)
+    fam = AnchorFamily(sets=((0, 6), (), (1, 3, 5), (2,)),
+                       provenance=((1, 1), (1, 2), (2, 1), (2, 2)), c=1.0, seed=0)
+    listed = csr_matrix((np.array([1e16, 1.0, -1e16]), np.array([1, 0, 1]),
+                         np.array([0, 3])), shape=(1, 2))
+    rng = np.random.default_rng(4)
+    for s in (*_message_table(make_distance_input(g, cfg), fam, closest), listed):
+        tape = Tape()
+        x = tape.leaf(np.zeros((s.shape[1], 1)))
+        g_out = rng.standard_normal((s.shape[0], 1)) * 10.0 ** rng.integers(-8, 8, (s.shape[0], 1))
+        loss = tape.matmul(tape.leaf(g_out.T), tape.spmm(s, x))  # passes g_out on exactly
+        assert np.array_equal(tape.backward(loss)[x.id], s.T.tocsr() @ g_out)
 
 
 def _assert_matches_reference(g, dm, fam, params, cfg, label):

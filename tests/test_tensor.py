@@ -12,9 +12,8 @@ from helpers import max_rel_err, numeric_grad
 
 
 def operator(dense):
-    """(S, S.T) of a dense matrix, both CSR: the operand ``Tape.spmm`` takes."""
-    s = csr_matrix(np.asarray(dense, dtype=np.float64))
-    return s, s.T.tocsr()
+    """A dense matrix as CSR: the operand ``Tape.spmm`` takes."""
+    return csr_matrix(np.asarray(dense, dtype=np.float64))
 
 
 def mean_rows(tape, v):
@@ -111,9 +110,6 @@ def test_shape_errors():
         tape.concat_cols(a, tape.leaf(np.ones((3, 2))))
     with pytest.raises(ShapeError):
         tape.spmm(operator(np.ones((2, 3))), a)
-    s, _ = operator(np.ones((3, 2)))
-    with pytest.raises(ShapeError):  # an operator paired with the wrong transpose
-        tape.spmm((s, s), a)
     with pytest.raises(ShapeError):
         tape.reshape(a, 4, 2)
 
@@ -149,7 +145,8 @@ def test_row_scatter_adds_in_row_order_like_add_at():
 
 def test_spmm_adds_each_row_in_its_listed_order():
     """A row listing its columns out of order, one of them twice, is the
-    sequential sum in that order; a COO build would sort and merge them."""
+    sequential sum in that order; a COO build would sort and merge them.
+    The backward adds each input row's entries in S's row order too."""
     x = np.array([[1.0, 0.5], [1e16, 1e16], [-1e16, -1e16]])
     cols = np.array([1, 0, 2, 0])
     listed = csr_matrix((np.ones(4), cols, np.array([0, 4])), shape=(1, 3))
@@ -158,10 +155,18 @@ def test_spmm_adds_each_row_in_its_listed_order():
         expected = expected + x[c]
     assert np.array_equal(expected, [1.0, 0.5])  # 1e16 + 1 rounds to 1e16
     tape = Tape()
-    out = tape.spmm((listed, listed.T.tocsr()), tape.leaf(x)).data
+    out = tape.spmm(listed, tape.leaf(x)).data
     assert np.array_equal(out, [expected])
     coo = csr_matrix((np.ones(4), (np.zeros(4, dtype=int), cols)), shape=(1, 3))
-    assert not np.array_equal(tape.spmm((coo, coo.T.tocsr()), tape.leaf(x)).data, out)
+    assert not np.array_equal(tape.spmm(coo, tape.leaf(x)).data, out)
+    # column 0 is listed twice in row 0, then once in row 1: in S's row order
+    # its gradient is (1e16 - 1e16) + 1 = 1; adding row 1's entry earlier gives 0
+    s = csr_matrix((np.array([1e16, 3.0, -1e16, 1.0]), np.array([0, 1, 0, 0]),
+                    np.array([0, 3, 4])), shape=(2, 2))
+    assert (1e16 + 1.0) + -1e16 == 0.0 and (-1e16 + 1.0) + 1e16 == 0.0
+    src = tape.leaf(np.zeros((2, 1)))
+    loss = tape.matmul(tape.leaf(np.ones((1, 2))), tape.spmm(s, src))
+    assert np.array_equal(tape.backward(loss)[src.id], [[1.0], [3.0]])
 
 
 def test_cross_tape_values_rejected():
