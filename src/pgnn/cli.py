@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 import sys
 import time
 from dataclasses import MISSING, fields
@@ -34,8 +33,7 @@ from .tensor import Tape
 from .train import (SETTINGS, TrainConfig, _forward_graph, evaluate, model_label,
                     run_experiment)
 
-CHECKPOINT_MAGIC = b"PGNNCKPT"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class ConfigError(ValueError):
@@ -144,14 +142,23 @@ def _check_dataset(check, *args) -> None:
         raise ConfigError(f"dataset.{exc}") from None
 
 
-def _parse_run_config(path: str, seed: int | None = None, repeats: int | None = None):
+def _read_json(path: str, what: str):
+    """The JSON value in ``path``; a file that cannot be read or parsed is a
+    config error naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deep
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
+
+
+def _parse_run(raw, seed: int | None = None, repeats: int | None = None):
+    """A run config read from JSON: the dataset's build and name, the model and
+    train configs, and the resolved config."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     resolved = _section(raw, "", _ROOT)
@@ -181,29 +188,33 @@ def _parse_run_config(path: str, seed: int | None = None, repeats: int | None = 
         if split[key] == 0:
             raise ConfigError(f"split.{key} must be > 0, got {split[key]}: "
                               "an empty split has no AUC")
-    return build, name, model_cfg, train_cfg, resolved, _run_identity(resolved)
+    return build, name, model_cfg, train_cfg, resolved
 
 
-def _run_identity(resolved: dict) -> dict:
-    """What ties a checkpoint to its run: the resolved config but its ``train``
-    section, and ``sha256``, the digest of each dataset file by its key."""
-    identity = {key: value for key, value in resolved.items() if key != "train"}
-    identity["sha256"] = {}
-    for key, path in resolved["dataset"].items():
+def _digests(ds: dict) -> dict:
+    """The SHA-256 hex digest of each file the dataset section names, by its key."""
+    digests = {}
+    for key, path in ds.items():
         if key.endswith("path") and path is not None:
             try:
                 with open(path, "rb") as fh:
-                    identity["sha256"][key] = hashlib.sha256(fh.read()).hexdigest()
+                    digests[key] = hashlib.sha256(fh.read()).hexdigest()
             except OSError as exc:
                 raise ConfigError(f"cannot read dataset.{key}: {exc}") from None
-    return identity
+    return digests
 
 
 def _check_outputs(ds: dict, outputs: dict, inputs: dict) -> None:
-    """Before any work, reject an output that would replace an input or an earlier output."""
+    """Before any work, reject an output that would replace an input or an
+    earlier output, or whose directory does not exist; a None output is unset."""
     files = {f"dataset.{key}": path for key, path in ds.items() if key.endswith("path")}
     named = {os.path.realpath(p): flag for flag, p in {**files, **inputs}.items() if p is not None}
     for flag, path in outputs.items():
+        if path is None:
+            continue
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError(f"{flag} {path}: {parent} is not an existing directory")
         other = named.setdefault(os.path.realpath(path), flag)
         if other != flag:
             raise ConfigError(f"{flag} and {other} name the same file: {path}")
@@ -235,51 +246,33 @@ def _write_json(path: str, payload: dict) -> None:
 # checkpoints
 
 
-def save_checkpoint(path: str, header: dict, matrices: list[np.ndarray]) -> None:
-    """Binary dump: magic, version, JSON header with shapes, row-major float64."""
-    header = dict(header)
-    header["matrices"] = [{"name": name, "rows": int(a.shape[0]),
-                           "cols": int(a.shape[1])}
-                          for name, a in matrices]
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for _, a in matrices:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+def save_checkpoint(path: str, record: dict, matrices: list) -> None:
+    """One JSON object: the version, ``record``'s keys, then ``matrices``, each
+    (name, array) as its list of rows; repr round-trips every float64."""
+    _write_json(path, {"version": CHECKPOINT_VERSION, **record, "matrices": [
+        {"name": name, "rows": a.tolist()} for name, a in matrices]})
 
 
 def load_checkpoint(path: str) -> tuple[dict, list[np.ndarray]]:
-    with open(path, "rb") as fh:
-        def read(size: int) -> bytes:
-            raw = fh.read(size)
-            if len(raw) != size:
-                raise ValueError(f"{path}: truncated checkpoint")
-            return raw
+    """A checkpoint's record and its matrices as float64 arrays."""
+    record = _read_json(path, "checkpoint")
+    if not isinstance(record, dict) or record.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(f"cannot read checkpoint: {path}: "
+                          f"not a version {CHECKPOINT_VERSION} checkpoint")
+    specs = record.get("matrices")
+    if not isinstance(specs, list) or not all(
+            isinstance(spec, dict) and _is_matrix(spec.get("rows")) for spec in specs):
+        raise ConfigError(f"cannot read checkpoint: {path}: malformed matrices")
+    return record, [np.array(spec["rows"], dtype=np.float64) for spec in specs]
 
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        version, hlen = struct.unpack("<II", read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(read(hlen).decode("utf-8"))
-        specs = header.get("matrices") if isinstance(header, dict) else None
-        if not isinstance(specs, list) or not all(
-                isinstance(spec, dict) and all(type(spec.get(key)) is int and spec[key] >= 0
-                                               for key in ("rows", "cols"))
-                for spec in specs):
-            raise ValueError(f"{path}: malformed checkpoint header")
-        # checked before any read, so a huge declared shape allocates nothing
-        if sum(spec["rows"] * spec["cols"] * 8 for spec in specs) > (
-                os.fstat(fh.fileno()).st_size - fh.tell()):
-            raise ValueError(f"{path}: truncated checkpoint")
-        matrices = [np.frombuffer(read(spec["rows"] * spec["cols"] * 8), dtype="<f8")
-                    .reshape(spec["rows"], spec["cols"]).copy()
-                    for spec in specs]
-    return header, matrices
+
+def _is_matrix(rows) -> bool:
+    """Whether ``rows`` is a non-empty list of equally long lists of finite
+    JSON numbers; np.array alone would take numeric strings and booleans."""
+    return (isinstance(rows, list) and len(rows) > 0
+            and all(isinstance(row, list) and len(row) == len(rows[0]) for row in rows)
+            and all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+                    for row in rows for x in row))
 
 
 # ----------------------------------------------------------------------
@@ -299,15 +292,14 @@ def _dataset_section(args) -> dict:
 
 def _cmd_generate(args) -> int:
     build, _, ds, _ = _parse_dataset(_dataset_section(args))
-    if ds["kind"] == "grid":
-        write_edge_list(args.out, build(), f"grid {ds['rows']}x{ds['cols']}")
-    else:
-        labels_path = os.path.splitext(args.out)[0] + ".labels"
-        _check_outputs(ds, {"--out": args.out, "its labels file": labels_path}, {})
-        g = build()
-        header = "communities " + " ".join(
-            f"{key}={value}" for key, value in ds.items() if key != "kind")
-        write_edge_list(args.out, g, header)
+    grid = ds["kind"] == "grid"
+    labels_path = None if grid else os.path.splitext(args.out)[0] + ".labels"
+    _check_outputs(ds, {"--out": args.out, "its labels file": labels_path}, {})
+    g = build()
+    header = f"grid {ds['rows']}x{ds['cols']}" if grid else "communities " + " ".join(
+        f"{key}={value}" for key, value in ds.items() if key != "kind")
+    write_edge_list(args.out, g, header)
+    if labels_path:
         write_node_labels(labels_path, g, header)
     return 0
 
@@ -331,11 +323,12 @@ def _build_split(build, name, resolved):
 
 
 def _cmd_train(args) -> int:
-    build, name, model_cfg, train_cfg, resolved, identity = _parse_run_config(
-        args.config, args.seed, args.repeats)
+    build, name, model_cfg, train_cfg, resolved = _parse_run(
+        _read_json(args.config, "config"), args.seed, args.repeats)
     ckpt_path = args.checkpoint or os.path.splitext(args.out)[0] + ".ckpt"
     _check_outputs(resolved["dataset"], {"--out": args.out, "--checkpoint": ckpt_path},
                    {"--config": args.config})
+    digests = _digests(resolved["dataset"])
     g, split = _build_split(build, name, resolved)
     t0 = time.perf_counter()
     metrics = run_experiment(g, split, model_cfg, train_cfg, dataset=name)
@@ -345,7 +338,8 @@ def _cmd_train(args) -> int:
     payload["config"] = resolved
     _write_json(args.out, payload)
     best = max(metrics.per_repeat, key=lambda r: (r.val_auc, -r.repeat))
-    save_checkpoint(ckpt_path, {**identity, "anchor_seed": best.anchor_seed,
+    save_checkpoint(ckpt_path, {"config": resolved, "sha256": digests,
+                                "anchor_seed": best.anchor_seed,
                                 "best_epoch": best.best_epoch, "repeat": best.repeat},
                     _named_matrices(resolved["model"], best.snapshot))
     print(f"wall_time_s={elapsed:.3f}", file=sys.stderr)
@@ -353,22 +347,21 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    build, name, model_cfg, train_cfg, resolved, identity = _parse_run_config(args.config)
-    _check_outputs(resolved["dataset"], {"--out": args.out},
-                   {"--config": args.config, "--checkpoint": args.checkpoint})
+    record, arrays = load_checkpoint(args.checkpoint)
     try:
-        header, arrays = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read checkpoint: {exc}") from None
-    for key, ours in identity.items():
-        if header.get(key) != ours:
-            raise ConfigError(f"config {key} {ours!r} does not match "
-                              f"checkpoint {key} {header.get(key)!r}")
+        build, name, model_cfg, train_cfg, resolved = _parse_run(record.get("config"))
+    except ConfigError as exc:
+        raise ConfigError(f"cannot read checkpoint: {args.checkpoint}: {exc}") from None
+    _check_outputs(resolved["dataset"], {"--out": args.out}, {"--checkpoint": args.checkpoint})
+    digests = _digests(resolved["dataset"])
+    if record.get("sha256") != digests:
+        raise ConfigError(f"dataset sha256 {digests!r} does not match checkpoint sha256 "
+                          f"{record.get('sha256')!r}: a dataset file changed since training")
     # a PGNN redraws its family from the seed; the GCN has none to draw
-    wants = int if isinstance(model_cfg, PGNNConfig) else type(None)
-    if type(header.get("anchor_seed", "")) is not wants:
-        raise ConfigError(f"cannot read checkpoint: {args.checkpoint}: "
-                          "malformed checkpoint header")
+    seed = record.get("anchor_seed", "")
+    if not (type(seed) is int and seed >= 0 if isinstance(model_cfg, PGNNConfig)
+            else seed is None):
+        raise ConfigError(f"cannot read checkpoint: {args.checkpoint}: malformed anchor_seed")
     g, split = _build_split(build, name, resolved)
     init = init_pgnn_params if isinstance(model_cfg, PGNNConfig) else init_gcn_params
     width = _forward_graph(g, split, train_cfg.setting).features.shape[1]
@@ -377,8 +370,7 @@ def _cmd_eval(args) -> int:
     if shapes != fits:
         raise ConfigError(f"cannot read checkpoint: {args.checkpoint}: matrix shapes "
                           f"{shapes} do not fit the model's {fits}")
-    val_auc, test_auc = evaluate(g, split, model_cfg, train_cfg.setting, arrays,
-                                 header["anchor_seed"])
+    val_auc, test_auc = evaluate(g, split, model_cfg, train_cfg.setting, arrays, seed)
     payload = {
         "task": resolved["task"],
         "dataset": name,
@@ -400,6 +392,7 @@ def _cmd_distortion(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     build, name, ds, _ = _parse_dataset(_dataset_section(args))
+    _check_outputs(ds, {"--out": args.out}, {})
     if ds["kind"] == "grid" and ds["rows"] * ds["cols"] < 2:
         raise ConfigError("distortion needs at least 2 nodes, got dataset.rows x "
                           f"dataset.cols = {ds['rows']}x{ds['cols']}")
@@ -465,6 +458,7 @@ def symmetry_report() -> dict:
 
 
 def _cmd_symmetry_demo(args) -> int:
+    _check_outputs({}, {"--out": args.out}, {})
     payload = symmetry_report()
     if args.out:
         _write_json(args.out, payload)
@@ -509,9 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="checkpoint path (default: metrics path with .ckpt)")
     tr.set_defaults(func=_cmd_train)
 
-    ev = sub.add_parser("eval", help="validation and test AUC of a checkpoint on its "
-                        "config's split (the config's train section is echoed only)")
-    ev.add_argument("--config", required=True)
+    ev = sub.add_parser("eval", help="validation and test AUC of a checkpoint on the "
+                        "split of the run it stores")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--out", default="eval.json")
     ev.set_defaults(func=_cmd_eval)

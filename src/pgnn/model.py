@@ -167,9 +167,10 @@ def _message_table(dm: DistanceMatrix, fam: AnchorFamily, closest: bool):
     key = 2 * (own * n + np.where(d != UNREACHABLE, u, own)) + (d != UNREACHABLE)
     key, first, row = np.unique(key, return_index=True, return_inverse=True)
     row = row.ravel()
-    size = np.tile(np.repeat(widths, widths), n)  # each slot's pair width
-    uses = sum((np.bincount(row[size == m], minlength=key.size) / m
-                for m in np.unique(widths[widths > 0])), np.zeros(key.size))
+    slot_width = np.repeat(widths, widths)  # the pair width of each of a node's slots
+    size = np.tile(slot_width, n)
+    uses = sum((np.bincount(row.reshape(n, -1)[:, slot_width == m].ravel(), minlength=key.size)
+                / m for m in np.unique(widths[widths > 0])), np.zeros(key.size))
     node, msgs = key // 2 // n, key.size
     halves = np.column_stack((np.ones(msgs), similarity(d.ravel()[first])))
     pad = [_operator(np.ones(n), own.ravel(), np.clip(np.arange(2 * n + 1) - lead, 0, n), n)

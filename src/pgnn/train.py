@@ -4,8 +4,9 @@ A run repeats training ``repeats`` times from seeds seed+0 .. seed+r-1,
 tracks validation AUC every epoch, snapshots the parameters (and, for the
 position-aware model, the anchor family) at the best validation epoch with
 earliest-epoch tie breaking, and reports the test AUC of that snapshot.
-Anchor families are redrawn each forward pass from a seed stream derived
-from (run seed, epoch, forward index), so every run is replayable.
+The position-aware model draws one anchor family per epoch (only epoch 0's
+without ``resample_anchors``), seeded by (run seed, epoch, 0), and that
+epoch's validation forward reuses it, so every run is replayable.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import pgnn
 from pgnn import cli
 from pgnn.cli import load_checkpoint, main, save_checkpoint
 from pgnn.graph import grid_graph, load_edge_list, load_node_labels
+from pgnn.train import run_experiment
 
 
 def write_config(path, **overrides):
@@ -52,7 +53,10 @@ def test_generate_communities_writes_labels(tmp_path):
     assert list(labels) == list(np.repeat(np.arange(4), 5))
 
 
-def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
+def test_train_writes_metrics_and_checkpoint(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda *args, **kw: runs.append(run_experiment(*args, **kw)) or runs[-1])
     cfg = write_config(tmp_path / "cfg.json")
     metrics_path = tmp_path / "metrics.json"
     code = main(["train", "--config", cfg, "--out", str(metrics_path)])
@@ -68,15 +72,20 @@ def test_train_writes_metrics_and_checkpoint(tmp_path, capsys):
     assert 0.0 <= payload["mean_auc"] <= 1.0
     assert payload["config"]["dataset"] == {"kind": "grid", "rows": 6, "cols": 6}
 
-    header, arrays = load_checkpoint(str(tmp_path / "metrics.ckpt"))
-    assert sorted(header) == ["anchor_seed", "best_epoch", "dataset", "matrices", "model",
-                              "repeat", "setting", "sha256", "split", "task"]
-    assert header["task"] == "link_prediction"
-    assert header["model"]["kind"] == "pgnn"
-    assert header["sha256"] == {}
-    assert [m["name"] for m in header["matrices"]] == [
+    record, arrays = load_checkpoint(str(tmp_path / "metrics.ckpt"))
+    assert list(record) == ["version", "config", "sha256", "anchor_seed", "best_epoch",
+                            "repeat", "matrices"]
+    assert record["version"] == 4
+    assert record["config"] == payload["config"]
+    assert record["sha256"] == {}
+    assert [m["name"] for m in record["matrices"]] == [
         "layer0.w_msg", "layer1.w_msg", "layer1.w"]
     assert [a.shape for a in arrays] == [(2, 8), (16, 8), (8, 1)]
+    # the matrices are the best repeat's snapshot, bit for bit
+    best = max(runs[0].per_repeat, key=lambda r: (r.val_auc, -r.repeat))
+    assert (record["anchor_seed"], record["best_epoch"], record["repeat"]) == (
+        best.anchor_seed, best.best_epoch, best.repeat)
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for a in best.snapshot]
 
 
 def test_train_seed_and_repeats_overrides(tmp_path, capsys):
@@ -125,8 +134,7 @@ def test_eval_reproduces_selected_test_auc(tmp_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         assert main(["train", "--config", cfg, "--out", str(mpath)]) == 0
         epath = tmp_path / "e.json"
-        code = main(["eval", "--config", cfg, "--checkpoint", str(ckpt),
-                     "--out", str(epath)])
+        code = main(["eval", "--checkpoint", str(ckpt), "--out", str(epath)])
         assert code == 0
         metrics = json.loads(mpath.read_text())
         evaluated = json.loads(epath.read_text())
@@ -134,6 +142,7 @@ def test_eval_reproduces_selected_test_auc(tmp_path, capsys):
                    key=lambda r: (r["val_auc"], -r["repeat"]))
         assert evaluated["test_auc"] == best["test_auc"]
         assert evaluated["val_auc"] == best["val_auc"]
+        assert evaluated["config"] == metrics["config"]
     capsys.readouterr()
 
 
@@ -152,15 +161,31 @@ _COLLISIONS = [
     ("train checkpoint dataset file", ["train", "--config", "el.json", "--out", "m.json",
                                        "--checkpoint", "el.labels"],
      "el.labels", ("dataset.labels_path", "--checkpoint")),
-    ("eval checkpoint", ["eval", "--config", "g.json", "--checkpoint", "m.ckpt",
-                         "--out", "m.ckpt"], "m.ckpt", ("--checkpoint", "--out")),
-    ("eval config", ["eval", "--config", "g.json", "--checkpoint", "m.ckpt",
-                     "--out", "g.json"], "g.json", ("--config", "--out")),
-    ("eval dataset file", ["eval", "--config", "el.json", "--checkpoint", "m.ckpt",
-                           "--out", "el.labels"], "el.labels", ("dataset.labels_path", "--out")),
+    ("eval checkpoint", ["eval", "--checkpoint", "m.ckpt", "--out", "m.ckpt"],
+     "m.ckpt", ("--checkpoint", "--out")),
+    ("eval dataset file", ["eval", "--checkpoint", "m.ckpt", "--out", "el.labels"],
+     "el.labels", ("dataset.labels_path", "--out")),
     ("generate labels", ["generate", "communities", "3", "3", "0.0", "--out", "d.labels"],
      "d.labels", ("--out", "its labels file")),
+    ("distortion edge list", ["distortion", "edge-list", "el.edges", "--out", "el.edges"],
+     "el.edges", ("dataset.path", "--out")),
 ]
+
+
+def _write_files(tmp_path):
+    """The inputs and earlier outputs the collision and missing-directory
+    cases name; m.ckpt is a checkpoint of the el.json run."""
+    write_config(tmp_path / "g.json")
+    (tmp_path / "link.json").symlink_to(tmp_path / "g.json")
+    (tmp_path / "el.edges").write_text("0 1\n1 2\n2 3\n")
+    (tmp_path / "el.labels").write_text("0 0\n1 0\n2 1\n3 1\n")
+    el = write_config(tmp_path / "el.json", dataset={"kind": "edge_list", "path": "el.edges",
+                                                      "labels_path": "el.labels"})
+    save_checkpoint(str(tmp_path / "m.ckpt"),
+                    {"config": json.loads(Path(el).read_text()), "sha256": {}}, [])
+    for name in ("m.json", "d.labels"):
+        (tmp_path / name).write_bytes(b"existing bytes\n")
+    return {path.name: path.read_bytes() for path in tmp_path.iterdir()}
 
 
 @pytest.mark.parametrize("argv, kept, flags", [c[1:] for c in _COLLISIONS],
@@ -168,20 +193,50 @@ _COLLISIONS = [
 def test_output_naming_another_file_exits_1_and_keeps_it(tmp_path, capsys, monkeypatch,
                                                          argv, kept, flags):
     monkeypatch.chdir(tmp_path)
-    write_config(tmp_path / "g.json")
-    (tmp_path / "link.json").symlink_to(tmp_path / "g.json")
-    (tmp_path / "el.edges").write_text("0 1\n1 2\n2 3\n")
-    (tmp_path / "el.labels").write_text("0 0\n1 0\n2 1\n3 1\n")
-    write_config(tmp_path / "el.json", dataset={"kind": "edge_list", "path": "el.edges",
-                                                 "labels_path": "el.labels"})
-    for name in ("m.ckpt", "m.json", "d.labels"):
-        (tmp_path / name).write_bytes(b"existing bytes\n")
-    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    files = _write_files(tmp_path)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "name the same file" in err
     assert all(flag in err for flag in flags)
     assert (tmp_path / kept).read_bytes() == files[kept]
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
+# (argv, the output flag, its path); nodir does not exist and g.json is a file
+_MISSING_DIRS = [
+    ("train out", ["train", "--config", "g.json", "--out", "nodir/m.json"],
+     "--out", "nodir/m.json"),
+    ("train out under a file", ["train", "--config", "g.json", "--out", "g.json/m.json"],
+     "--out", "g.json/m.json"),
+    ("train checkpoint", ["train", "--config", "g.json", "--checkpoint", "nodir/m.ckpt"],
+     "--checkpoint", "nodir/m.ckpt"),
+    ("eval", ["eval", "--checkpoint", "m.ckpt", "--out", "nodir/e.json"],
+     "--out", "nodir/e.json"),
+    ("generate grid", ["generate", "grid", "3", "3", "--out", "nodir/g.edges"],
+     "--out", "nodir/g.edges"),
+    ("generate communities",
+     ["generate", "communities", "3", "3", "0.0", "--out", "nodir/c.edges"],
+     "--out", "nodir/c.edges"),
+    ("distortion", ["distortion", "edge-list", "el.edges", "--out", "nodir/d.json"],
+     "--out", "nodir/d.json"),
+    ("symmetry-demo", ["symmetry-demo", "--out", "nodir/s.json"], "--out", "nodir/s.json"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, path", [c[1:] for c in _MISSING_DIRS],
+                         ids=[c[0] for c in _MISSING_DIRS])
+def test_output_in_a_missing_directory_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               argv, flag, path):
+    def no_work(*args):
+        raise AssertionError("work done before the outputs were checked")
+
+    monkeypatch.chdir(tmp_path)
+    files = _write_files(tmp_path)
+    for builder in ("grid_graph", "connected_caveman", "load_edge_list", "symmetry_report"):
+        monkeypatch.setattr(cli, builder, no_work)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag} {path}: {os.path.dirname(path)} is not an existing directory\n")
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
 
 
@@ -421,16 +476,12 @@ def _random_config(rng, tmp_path) -> dict:
             "train": {"epochs": pick(0, 1, 2), "repeats": pick(1, 2), "seed": pick(0, 1, 2)}}
 
 
-def test_accepted_configs_run_or_exit_1(tmp_path, capsys, monkeypatch):
+def test_accepted_configs_run_or_exit_1(tmp_path, capsys):
     """Seeded random configs: each is rejected with exit 1, or trains, and then
-    its checkpoint evaluates to the selected repeat's test AUC, and is rejected
-    under another split seed before any graph is built."""
-    def no_build(*args):
-        raise AssertionError("graph built before the checkpoint was checked")
-
+    its checkpoint evaluates to the selected repeat's AUCs."""
     rng = np.random.default_rng(0)
-    cfg, other, mpath, ckpt, epath = (tmp_path / name for name in
-                                      ("cfg.json", "other.json", "m.json", "m.ckpt", "e.json"))
+    cfg, mpath, ckpt, epath = (tmp_path / name for name in
+                               ("cfg.json", "m.json", "m.ckpt", "e.json"))
     ran = 0
     for _ in range(400):
         cfg.write_text(json.dumps(_random_config(rng, tmp_path)))
@@ -440,142 +491,136 @@ def test_accepted_configs_run_or_exit_1(tmp_path, capsys, monkeypatch):
         if code == 1:
             continue
         ran += 1
-        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
-                     "--out", str(epath)]) == 0, (cfg.read_text(), capsys.readouterr().err)
+        assert main(["eval", "--checkpoint", str(ckpt), "--out", str(epath)]) == 0, (
+            cfg.read_text(), capsys.readouterr().err)
         best = max(json.loads(mpath.read_text())["per_repeat"],
                    key=lambda r: (r["val_auc"], -r["repeat"]))
-        assert json.loads(epath.read_text())["test_auc"] == best["test_auc"]
-        raw = json.loads(cfg.read_text())
-        raw["split"]["seed"] += 1
-        other.write_text(json.dumps(raw))
-        with monkeypatch.context() as patch:
-            for builder in ("grid_graph", "connected_caveman", "load_edge_list"):
-                patch.setattr(cli, builder, no_build)
-            assert main(["eval", "--config", str(other), "--checkpoint", str(ckpt),
-                         "--out", str(epath)]) == 1
-        assert capsys.readouterr().err.startswith("error: config split ")
+        evaluated = json.loads(epath.read_text())
+        assert (evaluated["val_auc"], evaluated["test_auc"]) == (best["val_auc"],
+                                                                 best["test_auc"])
     assert ran >= 80
 
 
-def test_eval_rejects_a_model_other_than_the_checkpoints(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json",
-                       model={"kind": "gcn", "layers": 2, "message_dim": 8})
-    assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
-    capsys.readouterr()
-    other = write_config(tmp_path / "other.json",
-                         model={"kind": "pgnn", "layers": 3, "message_dim": 4})
-    epath = tmp_path / "e.json"
-    assert main(["eval", "--config", other, "--checkpoint", str(tmp_path / "m.ckpt"),
-                 "--out", str(epath)]) == 1
-    assert capsys.readouterr().err == (
-        "error: config model {'kind': 'pgnn', 'layers': 3, 'anchor_c': 1.0, "
-        "'variant': 'exact', 'message_dim': 4, 'closest_node_agg': True, "
-        "'resample_anchors': True} does not match checkpoint model "
-        "{'kind': 'gcn', 'layers': 2, 'message_dim': 8}\n")
+def _edit_checkpoint(ckpt, edit) -> None:
+    """Apply ``edit`` to the checkpoint's JSON object in place."""
+    record = json.loads(ckpt.read_text())
+    edit(record)
+    ckpt.write_text(json.dumps(record))
+
+
+def _assert_eval_exits_1(tmp_path, capsys, ckpt, message):
+    epath = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(ckpt), "--out", str(epath)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not epath.exists()
 
 
-def test_eval_rejects_a_setting_other_than_the_checkpoints(tmp_path, capsys, monkeypatch):
-    """So is any other task, dataset, split or dataset file content, before any
-    graph is built. The checkpoint's sections print in sorted key order."""
-    def no_build(*args):
-        raise AssertionError("graph built before the checkpoint was checked")
-
-    # every row trains with g.edges holding a 4x5 grid and evaluates with it
-    # rewritten in place as a 5x4 grid; only the edge-list rows read it
-    edges, moved = tmp_path / "g.edges", tmp_path / "other" / "g.edges"
-    moved.parent.mkdir()
-    assert main(["generate", "grid", "4", "5", "--out", str(moved)]) == 0
-    assert main(["generate", "grid", "5", "4", "--out", str(edges)]) == 0
-    before, after = moved.read_bytes(), edges.read_bytes()
-    el = {"kind": "edge_list", "path": str(edges)}
+def test_eval_rejects_a_model_other_than_the_checkpoints(tmp_path, capsys):
+    """A stored model section other than the one the matrices were trained
+    as exits 1, naming both shape lists."""
+    pgnn = {"kind": "pgnn", "layers": 2, "message_dim": 8}
     gcn = {"kind": "gcn", "layers": 2, "message_dim": 8}
-    cave = {"kind": "communities", "n_comm": 3, "comm_size": 4}
-    small = {"setting": "transductive", "model": gcn,
-             "dataset": {"kind": "grid", "rows": 5, "cols": 5}}
-    # (train config overrides, eval config overrides, the difference reported)
-    for trained, evaluated, key, ours, theirs in (
-            ({"setting": "transductive"}, {"setting": "inductive"},
-             "setting", "inductive", "transductive"),
-            ({"setting": "transductive", "model": gcn,
-              "dataset": {"kind": "grid", "rows": 4, "cols": 4}},
-             {"dataset": {"kind": "grid", "rows": 5, "cols": 4}},
-             "dataset", {"kind": "grid", "rows": 5, "cols": 4},
-             {"cols": 4, "kind": "grid", "rows": 4}),
-            ({"task": "pairwise_node_classification", "dataset": cave},
-             {"task": "link_prediction"}, "task", "link_prediction",
-             "pairwise_node_classification"),
-            ({"dataset": cave}, {"dataset": {**cave, "comm_size": 5}}, "dataset",
-             {"kind": "communities", "n_comm": 3, "comm_size": 5, "rewire_prob": 0.01,
-              "seed": 0},
-             {"comm_size": 4, "kind": "communities", "n_comm": 3, "rewire_prob": 0.01,
-              "seed": 0}),
-            ({"dataset": cave}, {"dataset": {**cave, "rewire_prob": 0.5}}, "dataset",
-             {"kind": "communities", "n_comm": 3, "comm_size": 4, "rewire_prob": 0.5,
-              "seed": 0},
-             {"comm_size": 4, "kind": "communities", "n_comm": 3, "rewire_prob": 0.01,
-              "seed": 0}),
-            (small, {"split": {"test_frac": 0.3}}, "split",
-             {"val_frac": 0.1, "test_frac": 0.3, "seed": 0},
-             {"seed": 0, "test_frac": 0.1, "val_frac": 0.1}),
-            (small, {"split": {"seed": 7}}, "split",
-             {"val_frac": 0.1, "test_frac": 0.1, "seed": 7},
-             {"seed": 0, "test_frac": 0.1, "val_frac": 0.1}),
-            ({"dataset": el}, {"dataset": {**el, "path": str(moved)}}, "dataset",
-             {"kind": "edge_list", "path": str(moved), "labels_path": None,
-              "features_path": None},
-             {"features_path": None, "kind": "edge_list", "labels_path": None,
-              "path": str(edges)}),
-            ({"dataset": el}, {}, "sha256", {"path": hashlib.sha256(after).hexdigest()},
-             {"path": hashlib.sha256(before).hexdigest()})):
-        edges.write_bytes(before)
-        cfg = write_config(tmp_path / "cfg.json", **trained)
+    ckpt = tmp_path / "m.ckpt"
+    for trained, stored, seed, shapes in (
+            (gcn, pgnn, 0, "[(1, 8), (8, 8)] do not fit the model's [(2, 8), (16, 8), (8, 1)]"),
+            (pgnn, gcn, None, "[(2, 8), (16, 8), (8, 1)] do not fit the model's "
+                              "[(1, 8), (8, 8)]")):
+        cfg = write_config(tmp_path / "cfg.json", model=trained)
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
         capsys.readouterr()
-        edges.write_bytes(after)
-        other = write_config(tmp_path / "other.json", **{**trained, **evaluated})
-        epath = tmp_path / "e.json"
-        with monkeypatch.context() as patch:
-            for builder in ("grid_graph", "connected_caveman", "load_edge_list"):
-                patch.setattr(cli, builder, no_build)
-            assert main(["eval", "--config", other, "--checkpoint", str(tmp_path / "m.ckpt"),
-                         "--out", str(epath)]) == 1
-        assert capsys.readouterr().err == (f"error: config {key} {ours!r} does not match "
-                                           f"checkpoint {key} {theirs!r}\n")
-        assert not epath.exists()
+        _edit_checkpoint(ckpt, lambda r: r.update(anchor_seed=seed) or r["config"].update(
+            model=stored))
+        _assert_eval_exits_1(tmp_path, capsys, ckpt,
+                             f"cannot read checkpoint: {ckpt}: matrix shapes {shapes}")
+
+
+def test_eval_rejects_a_setting_other_than_the_checkpoints(tmp_path, capsys):
+    """The transductive forward graph gives each node a one-hot id feature, so
+    matrices trained in one setting do not fit the other."""
+    gcn = {"kind": "gcn", "layers": 2, "message_dim": 8}
+    ckpt = tmp_path / "m.ckpt"
+    for trained, stored, shapes in (
+            ("transductive", "inductive",
+             "[(16, 8), (8, 8)] do not fit the model's [(1, 8), (8, 8)]"),
+            ("inductive", "transductive",
+             "[(1, 8), (8, 8)] do not fit the model's [(16, 8), (8, 8)]")):
+        cfg = write_config(tmp_path / "cfg.json", setting=trained, model=gcn,
+                           dataset={"kind": "grid", "rows": 4, "cols": 4})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
+        capsys.readouterr()
+        _edit_checkpoint(ckpt, lambda r: r["config"].update(setting=stored))
+        _assert_eval_exits_1(tmp_path, capsys, ckpt,
+                             f"cannot read checkpoint: {ckpt}: matrix shapes {shapes}")
+
+
+def test_eval_rejects_a_changed_dataset_file(tmp_path, capsys, monkeypatch):
+    """A dataset file whose bytes changed since training, or that is gone,
+    exits 1 before any graph is built."""
+    def no_build(*args):
+        raise AssertionError("graph built before the dataset files were checked")
+
+    edges = tmp_path / "g.edges"
+    assert main(["generate", "grid", "4", "5", "--out", str(edges)]) == 0
+    before = edges.read_bytes()
+    cfg = write_config(tmp_path / "cfg.json", dataset={"kind": "edge_list", "path": str(edges)})
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
+    assert main(["generate", "grid", "5", "4", "--out", str(edges)]) == 0
+    capsys.readouterr()
+    after = edges.read_bytes()
+    for builder in ("grid_graph", "connected_caveman", "load_edge_list"):
+        monkeypatch.setattr(cli, builder, no_build)
+    ckpt = tmp_path / "m.ckpt"
+    _assert_eval_exits_1(tmp_path, capsys, ckpt, (
+        f"dataset sha256 {{'path': '{hashlib.sha256(after).hexdigest()}'}} does not match "
+        f"checkpoint sha256 {{'path': '{hashlib.sha256(before).hexdigest()}'}}: "
+        "a dataset file changed since training"))
+    edges.unlink()
+    _assert_eval_exits_1(tmp_path, capsys, ckpt, (
+        f"cannot read dataset.path: [Errno 2] No such file or directory: '{edges}'"))
 
 
 def test_eval_rejects_an_unreadable_checkpoint(tmp_path, capsys):
-    """A missing checkpoint, one of another format version, one with a
-    malformed header, or one whose matrices do not fit the model exits 1."""
-    cfg = write_config(tmp_path / "cfg.json", model={"kind": "gcn"})
+    """A missing checkpoint, one that is not JSON (the binary format of
+    version 3), one of another version, one with a malformed stored config,
+    matrices or anchor seed, or one whose matrices do not fit the model exits 1."""
     missing = tmp_path / "nope.ckpt"
-    assert main(["eval", "--config", cfg, "--checkpoint", str(missing)]) == 1
-    assert capsys.readouterr().err == ("error: cannot read checkpoint: [Errno 2] No such "
-                                       f"file or directory: '{missing}'\n")
-    old = tmp_path / "old.ckpt"
-    save_checkpoint(str(old), {}, [])
-    blob = bytearray(old.read_bytes())
-    for version in (1, 2):
-        blob[8:12] = version.to_bytes(4, "little")
-        old.write_bytes(bytes(blob))
-        assert main(["eval", "--config", cfg, "--checkpoint", str(old)]) == 1
-        assert capsys.readouterr().err == (f"error: cannot read checkpoint: {old}: "
-                                           f"unsupported checkpoint version {version}\n")
+    _assert_eval_exits_1(tmp_path, capsys, missing, f"checkpoint file not found: {missing}")
+    binary = tmp_path / "v3.ckpt"
+    header = b'{"matrices":[{"cols":1,"name":"layer0.w","rows":1}]}'
+    binary.write_bytes(b"PGNNCKPT" + (3).to_bytes(4, "little") + len(header).to_bytes(4, "little")
+                       + header + np.ones(1).tobytes())
+    assert main(["eval", "--checkpoint", str(binary)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: checkpoint file {binary} is not valid "
+                                              "JSON: ")
 
-    # a PGNN without an integer anchor_seed would redraw its family at random;
-    # a declared shape the file cannot hold must fail before any allocation
-    malformed = "malformed checkpoint header"
+    # a PGNN without an integer anchor_seed >= 0 would redraw no family
+    cfg = write_config(tmp_path / "cfg.json", model={"kind": "gcn"})
     pgnn = write_config(tmp_path / "pgnn.json")
-    for config, edits in ((cfg, [(lambda h: h.pop("matrices"), malformed),
-                                 (lambda h: h["matrices"][0].update(rows="6"), malformed),
-                                 (lambda h: h.pop("anchor_seed"), malformed),
-                                 (lambda h: h["matrices"][0].update(rows=2 ** 40),
-                                  "truncated checkpoint")]),
-                          (pgnn, [(lambda h: h.update(anchor_seed=None), malformed)])):
-        _assert_edited_header_exits_1(tmp_path, capsys, config, edits)
+    seed = "malformed anchor_seed"
+    for config, edits in (
+            (cfg, [*((lambda r, v=v: r.update(version=v), "not a version 4 checkpoint")
+                     for v in (1, 2, 3)),
+                   (lambda r: r.pop("version"), "not a version 4 checkpoint"),
+                   (lambda r: r.pop("matrices"), "malformed matrices"),
+                   (lambda r: r["matrices"][0].update(rows="6"), "malformed matrices"),
+                   (lambda r: r.pop("config"), "config root must be a JSON object"),
+                   (lambda r: r["config"].update(task="regression"),
+                    "config key task has unsupported value 'regression'"),
+                   (lambda r: r.pop("anchor_seed"), seed),
+                   (lambda r: r.update(anchor_seed=0), seed)]),
+            (pgnn, [(lambda r: r.update(anchor_seed=value), seed)
+                    for value in (None, -1, 1.0, "0", True)])):
+        assert main(["train", "--config", config, "--out", str(tmp_path / "m.json")]) == 0
+        capsys.readouterr()
+        ckpt = tmp_path / "m.ckpt"
+        trained = ckpt.read_text()
+        for edit, message in edits:
+            ckpt.write_text(trained)
+            _edit_checkpoint(ckpt, edit)
+            _assert_eval_exits_1(tmp_path, capsys, ckpt, f"cannot read checkpoint: {ckpt}: "
+                                                         f"{message}")
 
-    # header and payload agree, but the matrices do not fit the config's model
+    # well-formed matrices that do not fit the stored model
     deep = write_config(tmp_path / "deep.json",
                         model={"kind": "pgnn", "layers": 3, "message_dim": 8})
     ckpt = tmp_path / "fit.ckpt"
@@ -586,42 +631,18 @@ def test_eval_rejects_an_unreadable_checkpoint(tmp_path, capsys):
             (cfg, lambda named: [(named[0][0], named[0][1].T)] + named[1:],
              "[(32, 1), (32, 32)] do not fit the model's [(1, 32), (32, 32)]")):
         assert main(["train", "--config", config, "--out", str(tmp_path / "fit.json")]) == 0
-        header, arrays = load_checkpoint(str(ckpt))
-        save_checkpoint(str(ckpt), header, edit([(spec["name"], a) for spec, a
-                                                 in zip(header["matrices"], arrays)]))
         capsys.readouterr()
-        assert main(["eval", "--config", config, "--checkpoint", str(ckpt),
-                     "--out", str(tmp_path / "eval.json")]) == 1
-        assert capsys.readouterr().err == (f"error: cannot read checkpoint: {ckpt}: "
-                                           f"matrix shapes {shapes}\n")
-        assert not (tmp_path / "eval.json").exists()
-
-
-def _assert_edited_header_exits_1(tmp_path, capsys, cfg, edits):
-    """Train ``cfg``, then eval its checkpoint with each (edit, message) applied to
-    the header in turn."""
-    ckpt = tmp_path / "m.ckpt"
-    assert main(["train", "--config", cfg, "--out", str(tmp_path / "m.json")]) == 0
-    capsys.readouterr()
-    blob = ckpt.read_bytes()
-    hlen = int.from_bytes(blob[12:16], "little")
-    for edit, message in edits:
-        header = json.loads(blob[16:16 + hlen])
-        edit(header)
-        raw = json.dumps(header).encode("utf-8")
-        ckpt.write_bytes(blob[:12] + len(raw).to_bytes(4, "little") + raw
-                         + blob[16 + hlen:])
-        epath = tmp_path / "eval.json"
-        assert main(["eval", "--config", cfg, "--checkpoint", str(ckpt),
-                     "--out", str(epath)]) == 1
-        assert capsys.readouterr().err == (f"error: cannot read checkpoint: {ckpt}: "
-                                           f"{message}\n")
-        assert not epath.exists()
+        record, arrays = load_checkpoint(str(ckpt))
+        save_checkpoint(str(ckpt), record, edit([(spec["name"], a) for spec, a
+                                                 in zip(record["matrices"], arrays)]))
+        _assert_eval_exits_1(tmp_path, capsys, ckpt,
+                             f"cannot read checkpoint: {ckpt}: matrix shapes {shapes}")
 
 
 @pytest.mark.parametrize("kind", ["grid", "communities", "edge_list"])
 def test_resolved_config_round_trips(tmp_path, capsys, kind):
-    """The config echoed into the metrics is itself a config giving the same run."""
+    """The config stored in the checkpoint, as echoed into the metrics, is
+    itself a config giving the same run."""
     if kind == "grid":
         dataset = {"kind": "grid", "rows": 4, "cols": 5}
     elif kind == "communities":
@@ -634,12 +655,14 @@ def test_resolved_config_round_trips(tmp_path, capsys, kind):
                          model={"kind": "pgnn", "message_dim": 4},
                          train={"epochs": 2, "repeats": 1})
     assert main(["train", "--config", first, "--out", str(tmp_path / "a.json")]) == 0
+    stored = load_checkpoint(str(tmp_path / "a.ckpt"))[0]["config"]
+    assert stored == json.loads((tmp_path / "a.json").read_text())["config"]
     echoed = tmp_path / "echoed.json"
-    echoed.write_text(json.dumps(json.loads((tmp_path / "a.json").read_text())["config"]))
+    echoed.write_text(json.dumps(stored))
     assert main(["train", "--config", str(echoed), "--out", str(tmp_path / "b.json")]) == 0
     for ext in ("json", "ckpt"):
         assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
-    assert main(["eval", "--config", str(echoed), "--checkpoint", str(tmp_path / "b.ckpt"),
+    assert main(["eval", "--checkpoint", str(tmp_path / "b.ckpt"),
                  "--out", str(tmp_path / "e.json")]) == 0
     capsys.readouterr()
 
@@ -647,19 +670,25 @@ def test_resolved_config_round_trips(tmp_path, capsys, kind):
 def test_config_file_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["train", "--config", missing]) == 1
-    assert "not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["train", "--config", str(bad)]) == 1
-    assert "not valid JSON" in capsys.readouterr().err
+    for content in (b"{not json", b'{"task": "\xff"}', b"[" * 100_000):
+        bad.write_bytes(content)
+        assert main(["train", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config file {bad} is not valid JSON: ")
+    assert main(["train", "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {tmp_path}: ")
 
 
 def test_bad_arguments_exit_with_config_error(monkeypatch, capsys):
     assert main(["train"]) == 1
     assert main(["no-such-command"]) == 1
-    # eval takes no --seed or --repeats: they would change no computed value
-    assert main(["eval", "--config", "c.json", "--checkpoint", "m.ckpt", "--seed", "1"]) == 1
+    # eval takes no --seed or --repeats: they would change no computed value;
+    # nor a --config, since the checkpoint stores its run's
+    assert main(["eval", "--checkpoint", "m.ckpt", "--seed", "1"]) == 1
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(["eval", "--config", "c.json", "--checkpoint", "m.ckpt"]) == 1
+    assert "unrecognized arguments: --config c.json" in capsys.readouterr().err
     assert main(["generate", "grid", "two", "2", "--out", "x"]) == 1
     capsys.readouterr()
 
@@ -731,24 +760,35 @@ def test_symmetry_demo_reports_contrast(tmp_path, capsys):
 
 def test_checkpoint_roundtrip_and_validation(tmp_path):
     path = str(tmp_path / "m.ckpt")
-    mats = [("a", np.arange(6.0).reshape(2, 3)), ("b", np.ones((1, 1)))]
+    edge = np.array([[-0.0, 5e-324, 1 / 3], [-1e-300, 1e308, 2.0]])
+    mats = [("a", np.arange(6.0).reshape(2, 3)), ("b", np.ones((1, 1))), ("edge", edge)]
     save_checkpoint(path, {"task": "link_prediction"}, mats)
-    header, arrays = load_checkpoint(path)
-    assert header["task"] == "link_prediction"
-    assert [m["name"] for m in header["matrices"]] == ["a", "b"]
-    assert np.array_equal(arrays[0], mats[0][1])
-    assert arrays[0].dtype == np.float64
+    record, arrays = load_checkpoint(path)
+    assert record["version"] == 4 and record["task"] == "link_prediction"
+    assert [m["name"] for m in record["matrices"]] == ["a", "b", "edge"]
+    assert all(a.dtype == np.float64 for a in arrays)
+    assert [a.tobytes() for a in arrays] == [a.tobytes() for _, a in mats]
 
     bogus = tmp_path / "bogus.ckpt"
-    bogus.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="not a checkpoint"):
+    bogus.write_bytes(b"PGNNCKPT" + (3).to_bytes(4, "little") + b"\x00" * 12)
+    with pytest.raises(ValueError, match="is not valid JSON"):
         load_checkpoint(str(bogus))
-
-    blob = (tmp_path / "m.ckpt").read_bytes()
-    truncated = tmp_path / "short.ckpt"
-    # inside the version and header-length words, inside the header, in a matrix
-    for size in (10, 14, 20, len(blob) - 4):
-        truncated.write_bytes(blob[:size])
-        with pytest.raises(ValueError) as err:
-            load_checkpoint(str(truncated))
-        assert str(err.value) == f"{truncated}: truncated checkpoint"
+    good = json.loads(Path(path).read_text())
+    for version in (1, 2, 3):
+        bogus.write_text(json.dumps({**good, "version": version}))
+        with pytest.raises(ValueError, match="not a version 4 checkpoint"):
+            load_checkpoint(str(bogus))
+    bogus.write_text("[]")
+    with pytest.raises(ValueError, match="not a version 4 checkpoint"):
+        load_checkpoint(str(bogus))
+    # np.array would take a numeric string or a boolean; json.load takes NaN
+    # and Infinity
+    for rows in ([[1.0, 2.0], [3.0]], [], "1", [1.0], [["1.0"]], [[True]],
+                 [[None]], [[float("nan")]], [[float("inf")]], [[-float("inf")]],
+                 [[10 ** 400]]):
+        bogus.write_text(json.dumps({"version": 4, "matrices": [{"name": "a", "rows": rows}]}))
+        with pytest.raises(ValueError, match="malformed matrices"):
+            load_checkpoint(str(bogus))
+    bogus.write_text(json.dumps({"version": 4}))
+    with pytest.raises(ValueError, match="malformed matrices"):
+        load_checkpoint(str(bogus))

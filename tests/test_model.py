@@ -316,6 +316,26 @@ def _assert_matches_reference(g, dm, fam, params, cfg, label):
     _assert_close(emb.z.data, emb.h.data, z_ref, h_ref, cfg.closest_node_agg, label)
 
 
+def test_message_table_weights_equal_the_slot_mask_formula():
+    """Mean mode sums each width's slot counts in increasing width; gathering a
+    width's slot columns per node gives the bytes of a mask over every slot."""
+    g = constant_features(grid_graph(8, 8))
+    cfg = PGNNConfig(variant="fast", closest_node_agg=False)
+    dm = make_distance_input(g, cfg)
+    fam = sample_anchor_family(g.n, 2.0, seed=0)
+    widths = np.array([len(s) for s in fam.sets])
+    assert np.unique(widths[widths > 0]).size >= 5
+    u = np.array([v for s in fam.sets for v in s])
+    d, own = dm.d[:, u], np.arange(g.n)[:, None]
+    key = 2 * (own * g.n + np.where(d != UNREACHABLE, u, own)) + (d != UNREACHABLE)
+    key, row = np.unique(key, return_inverse=True)
+    size = np.tile(np.repeat(widths, widths), g.n)
+    uses = sum((np.bincount(row.ravel()[size == m], minlength=key.size) / m
+                for m in np.unique(widths[widths > 0])), np.zeros(key.size))
+    to_h = _message_table(dm, fam, False)[3]
+    assert to_h.data.tobytes() == (uses / fam.k).tobytes()
+
+
 def test_message_table_memo_follows_its_inputs():
     """Each call in turn changes one input the cached table depends on."""
     rng = np.random.default_rng(5)
