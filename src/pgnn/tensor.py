@@ -6,6 +6,10 @@ order from a scalar terminal and returns the gradient of every leaf,
 summing over repeated uses.  There is no broadcasting beyond the explicit
 ``scale_rows`` op and no in-place mutation anywhere on the tape.
 
+The tape keeps a leaf's array.  An op's output lives while its
+:class:`Value` or a backward that reads it does, so an epoch's temporaries
+are freed as they are consumed, not when the tape goes.
+
 Finite checks run where bad values can enter or leave the tape: on leaves,
 on ``scale_rows``' scale, on the loss ``bce_with_logits`` returns and on the
 gradients ``adam_step`` takes.  Op outputs are not scanned: on finite inputs
@@ -27,13 +31,12 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-def _checked(a: np.ndarray) -> np.ndarray:
-    """``a`` marked read-only, once it is known to be 2-d; finiteness is
+def _checked(a: np.ndarray) -> None:
+    """Mark ``a`` read-only, once it is known to be 2-d; finiteness is
     checked at the tape's boundary, not here."""
     if a.ndim != 2:
         raise ShapeError(f"matrix must be 2-d, got shape {a.shape}")
     a.setflags(write=False)
-    return a
 
 
 def _finite(a: np.ndarray, what: str) -> np.ndarray:
@@ -56,6 +59,8 @@ class Value:
 
 
 class _Node:
+    """A leaf keeps its array; an op keeps only what its backward closes over."""
+
     __slots__ = ("data", "parents", "backward")
 
     def __init__(self, data, parents, backward):
@@ -78,7 +83,8 @@ class Tape:
 
     def _record(self, data: np.ndarray, parents: tuple[int, ...],
                 backward: Callable | None) -> Value:
-        self._nodes.append(_Node(_checked(data), parents, backward))
+        _checked(data)
+        self._nodes.append(_Node(data if backward is None else None, parents, backward))
         return Value(self, len(self._nodes) - 1, data)
 
     def _own(self, *vals: Value) -> None:
@@ -216,13 +222,15 @@ class Tape:
         return self._record(a.data.reshape(rows, cols), (a.id,), back)
 
     def relu(self, a: Value) -> Value:
+        """max(a, 0); the backward masks by its own output, which is > 0.0
+        exactly where ``a`` is, so ``a``'s array need not outlive the call."""
         self._own(a)
-        ad = a.data
+        out = np.maximum(a.data, 0.0)
 
         def back(g):
-            return (g * (ad > 0.0),)
+            return (g * (out > 0.0),)
 
-        return self._record(np.maximum(ad, 0.0), (a.id,), back)
+        return self._record(out, (a.id,), back)
 
     def bce_with_logits(self, logits: Value, targets) -> Value:
         """Mean binary cross-entropy over a column of logits.

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -268,6 +271,40 @@ def test_tape_nodes_per_forward_do_not_depend_on_k(closest):
         pgnn_forward(tape, g, dm, fam, params, cfg)
         nodes.append(len(tape))
     assert nodes == [21, 21]
+
+
+def test_forward_frees_each_layers_pre_activation(monkeypatch):
+    """The D x r array ``relu`` reads is dead once the forward returns; the
+    ``relu`` output lives on in its own backward and the projection for Z."""
+    g = constant_features(grid_graph(20, 20))
+    cfg = PGNNConfig(layers=2, message_dim=16, anchor_c=2.0)
+    params = init_pgnn_params(1, cfg, np.random.default_rng(0))
+    dm = make_distance_input(g, cfg)
+    fam = sample_anchor_family(g.n, cfg.anchor_c, seed=0)
+    outputs = {"spmm": [], "relu": []}
+
+    def spmm(tape, s, a, _op=Tape.spmm):
+        out = _op(tape, s, a)
+        outputs["spmm"].append((s, weakref.ref(out.data)))
+        return out
+
+    def relu(tape, a, _op=Tape.relu):
+        out = _op(tape, a)
+        outputs["relu"].append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(Tape, "spmm", spmm)
+    monkeypatch.setattr(Tape, "relu", relu)
+    tape = Tape()
+    emb = pgnn_forward(tape, g, dm, fam, params, cfg)
+    gc.collect()
+    member = _message_table(dm, fam, cfg.closest_node_agg)[2]
+    pre = [ref for s, ref in outputs["spmm"] if s is member]
+    assert len(pre) == 2 and all(ref() is None for ref in pre)
+    assert len(outputs["relu"]) == 2
+    assert all(ref() is not None and ref().shape == (member.shape[0], 16)
+               for ref in outputs["relu"])
+    assert emb.z.shape == (g.n, fam.k)
 
 
 @pytest.mark.parametrize("closest", [True, False])

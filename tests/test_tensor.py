@@ -259,6 +259,69 @@ def test_backward_drops_each_inner_gradient_once_passed_on():
     assert peak < 8 * 2 ** 20, peak
 
 
+def test_forward_keeps_only_what_a_backward_reads():
+    """A 20-op chain over 10,000 x 16 rows: each output is 1.28 MB, and no
+    backward reads a ``scale_rows`` input, so only the last one stays."""
+    rng = np.random.default_rng(1)
+    scales = [rng.uniform(0.5, 1.5, size=(10_000, 1)) for _ in range(20)]
+    tracemalloc.start()
+    try:
+        tape = Tape()
+        x = tape.leaf(rng.standard_normal((10_000, 16)))
+        v = x
+        for s in scales:
+            v = tape.scale_rows(v, s)
+        loss = tape.matmul(mean_rows(tape, v), tape.leaf(np.ones((16, 1))))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 8 * 2 ** 20, held
+    ref = np.full((10_000, 16), 1.0 / 10_000)
+    for s in reversed(scales):
+        ref = ref * s
+    assert np.array_equal(tape.backward(loss)[x.id], ref)
+
+
+def test_relu_gradient_masks_by_the_input_sign():
+    a = np.array([[0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.5, -2.0]])
+    g = np.linspace(0.25, 1.75, a.shape[1]).reshape(-1, 1)
+    tape = Tape()
+    x = tape.leaf(a)
+    table = tape.backward(tape.matmul(tape.relu(x), tape.leaf(g)))
+    assert table[x.id].tobytes() == (g.T * (a > 0.0)).tobytes()
+
+
+def _loss_of_every_op(keep: list):
+    """A loss through every tape op; ``keep`` receives each intermediate Value."""
+    rng = np.random.default_rng(5)
+    tape = Tape()
+    a = tape.leaf(rng.standard_normal((4, 3)))
+    b = tape.leaf(rng.standard_normal((3, 3)))
+    steps = [tape.matmul(a, b)]
+    steps.append(tape.relu(steps[-1]))
+    steps.append(tape.hadamard(steps[-1], a))
+    steps.append(tape.add(steps[-1], steps[0]))
+    steps.append(tape.scale_rows(steps[-1], rng.uniform(0.5, 1.5, size=(4, 1))))
+    steps.append(tape.gather_rows(steps[-1], [3, 0, 0, 2, 1]))
+    steps.append(tape.spmm(operator(rng.standard_normal((2, 5))), steps[-1]))
+    steps.append(tape.concat_cols(steps[-1], steps[-1]))
+    steps.append(tape.reshape(steps[-1], 12, 1))
+    keep.extend(steps)
+    return tape.bce_with_logits(steps[-1], np.arange(12) % 2)
+
+
+def test_backward_after_every_intermediate_value_is_dropped():
+    held = []
+    loss = _loss_of_every_op(held)
+    t_held = loss.tape.backward(loss)
+    loss = _loss_of_every_op([])
+    gc.collect()
+    t_dropped = loss.tape.backward(loss)
+    assert sorted(t_dropped) == sorted(t_held)
+    for k in t_held:
+        assert np.array_equal(t_dropped[k], t_held[k])
+
+
 def test_backward_requires_scalar_terminal():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)))
