@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from dataclasses import MISSING, fields
 from typing import get_type_hints
@@ -215,6 +216,8 @@ def _check_outputs(ds: dict, outputs: dict, inputs: dict) -> None:
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             raise ConfigError(f"{flag} {path}: {parent} is not an existing directory")
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag} {path} is a directory")
         other = named.setdefault(os.path.realpath(path), flag)
         if other != flag:
             raise ConfigError(f"{flag} and {other} name the same file: {path}")
@@ -235,11 +238,18 @@ def _sanitize(obj):
 
 
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(_sanitize(payload), indent=2) + "\n"
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Write through a new temp file beside ``path``, removed if the write fails."""
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(_sanitize(payload), indent=2) + "\n")
+        umask = os.umask(0o022)  # mkstemp makes the file 0600: widen it as open() would
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -405,13 +415,11 @@ def _cmd_distortion(args) -> int:
             f"{name}: graph has {len(sizes)} components with sizes {sizes}")
     p = math.inf if args.p == "inf" else int(args.p)
     dm = all_pairs(g)
+    keys = ("expansion", "contraction", "distortion")
     per = []
     for t in range(args.repeats):
         fam = sample_anchor_family(g.n, args.anchor_c, args.seed + t)
-        emb = bourgain_embed(dm, fam)
-        expansion, contraction, distortion = measure_distortion(dm, emb, p)
-        per.append({"expansion": expansion, "contraction": contraction,
-                    "distortion": distortion})
+        per.append(dict(zip(keys, measure_distortion(dm, bourgain_embed(dm, fam), p))))
     payload = {
         "n": g.n,
         "c": args.anchor_c,
@@ -419,9 +427,7 @@ def _cmd_distortion(args) -> int:
         "k": fam.k,
         "repeats": args.repeats,
         "per_repeat": per,
-        "expansion": _stats([r["expansion"] for r in per]),
-        "contraction": _stats([r["contraction"] for r in per]),
-        "distortion": _stats([r["distortion"] for r in per]),
+        **{key: _stats([r[key] for r in per]) for key in keys},
     }
     if args.out:
         _write_json(args.out, payload)
@@ -431,8 +437,6 @@ def _cmd_distortion(args) -> int:
 
 
 def _stats(values: list[float]) -> dict:
-    if any(math.isinf(v) for v in values):
-        return {"mean": math.inf, "max": math.inf}
     return {"mean": float(np.mean(values)), "max": float(np.max(values))}
 
 

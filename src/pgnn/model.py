@@ -218,20 +218,14 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
 
 @lru_cache(maxsize=1)
 def _gcn_index(adjacency: tuple[tuple[int, ...], ...]):
-    """The GCN's neighbour positions (width x n), their weights and the self
-    weight, read-only.  One gather per neighbour position, added in adjacency
-    order (a node past its degree gathers itself at weight 0): keeps mirror
-    nodes bit-identical.  Memoized on the last adjacency (``Graph`` with
-    features is not hashable)."""
+    """One read-only n x n operator per neighbour position j: row v holds 0.5 / n at column
+    adjacency[v][j], nothing past v's degree.  Added in adjacency order, they keep mirror
+    nodes bit-identical.  Memoized on the last adjacency (a featured Graph is unhashable)."""
     n = len(adjacency)
-    width = max(map(len, adjacency), default=0)
-    position = np.array([[a[j] if j < len(a) else v for v, a in enumerate(adjacency)]
-                         for j in range(width)], dtype=np.int64).reshape(width, n)
-    index = (position, np.where(position != np.arange(n), 0.5 / n, 0.0)[:, :, None],
-             np.full((n, 1), 1.0 / n))
-    for a in index:
-        a.setflags(write=False)
-    return index
+    degree = np.fromiter(map(len, adjacency), np.int64, n)
+    cols = [[a[j] for a in adjacency if len(a) > j] for j in range(degree.max(initial=0))]
+    return tuple(_operator(np.full(len(c), 0.5 / n), c, np.r_[0, np.cumsum(degree > j)], n)
+                 for j, c in enumerate(cols))
 
 
 def gcn_forward(tape: Tape, g: Graph, weights: list[np.ndarray],
@@ -246,13 +240,13 @@ def gcn_forward(tape: Tape, g: Graph, weights: list[np.ndarray],
         raise ValueError("gcn_forward needs node features on the graph")
     if len(weights) != layers:
         raise ShapeError(f"{len(weights)} weight matrices for layers={layers}")
-    position, position_w, self_w = _gcn_index(g.adjacency)
+    positions = _gcn_index(g.adjacency)
     h = tape.leaf(g.features)
     for w in weights:
         msg = tape.relu(tape.matmul(h, tape.leaf(w)))
-        h = tape.scale_rows(msg, self_w)
-        for idx, idx_w in zip(position, position_w):
-            h = tape.add(h, tape.scale_rows(tape.gather_rows(msg, idx), idx_w))
+        h = tape.scale_rows(msg, np.full((g.n, 1), 1.0 / g.n))
+        for p in positions:
+            h = tape.add(h, tape.spmm(p, msg))
     return h
 
 

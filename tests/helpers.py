@@ -178,6 +178,23 @@ def reference_gcn_forward(g: Graph, weights):
     return h
 
 
+def reference_gcn_tape_forward(tape, g: Graph, weights):
+    """The mean-pool baseline on the tape as gathers: per neighbour position a
+    ``gather_rows`` (a node past its degree gathers itself), a ``scale_rows``
+    by 0.5 / n (0 past the degree) and an ``add``, after the self term."""
+    n = g.n
+    width = max((len(nbrs) for nbrs in g.adjacency), default=0)
+    h = tape.leaf(g.features)
+    for w in weights:
+        msg = tape.relu(tape.matmul(h, tape.leaf(w)))
+        h = tape.scale_rows(msg, np.full((n, 1), 1.0 / n))
+        for j in range(width):
+            idx = [nbrs[j] if j < len(nbrs) else v for v, nbrs in enumerate(g.adjacency)]
+            scale = [[0.5 / n if j < len(nbrs) else 0.0] for nbrs in g.adjacency]
+            h = tape.add(h, tape.scale_rows(tape.gather_rows(msg, idx), scale))
+    return h
+
+
 def dense_negatives(n: int, pos, count: int, rng):
     """Negatives by listing the whole complement of ``pos`` in upper-triangle
     order and drawing ``count`` of its positions without replacement."""

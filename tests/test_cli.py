@@ -172,6 +172,33 @@ _COLLISIONS = [
 ]
 
 
+def test_train_keeps_an_input_named_like_its_output_plus_tmp(tmp_path, capsys, monkeypatch):
+    """The output goes through a fresh temp file, so a config named run.json.tmp
+    survives byte for byte, and the outputs get open()'s permissions."""
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "run.json.tmp", model={"kind": "gcn", "message_dim": 4},
+                 train={"epochs": 1, "repeats": 1})
+    before = (tmp_path / "run.json.tmp").read_bytes()
+    assert main(["train", "--config", "run.json.tmp", "--out", "run.json"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "run.json.tmp").read_bytes() == before
+    (tmp_path / "plain").write_text("")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "plain", "run.ckpt", "run.json", "run.json.tmp"]
+    assert {(tmp_path / name).stat().st_mode for name in ("plain", "run.ckpt", "run.json")
+            } == {(tmp_path / "plain").stat().st_mode}
+
+
+def test_write_json_removes_its_temp_file_when_the_write_fails(tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="no space left"):
+        cli._write_json(str(tmp_path / "out.json"), {"a": 1})
+    assert list(tmp_path.iterdir()) == []
+
+
 def _write_files(tmp_path):
     """The inputs and earlier outputs the collision and missing-directory
     cases name; m.ckpt is a checkpoint of the el.json run."""
@@ -220,6 +247,21 @@ _MISSING_DIRS = [
     ("distortion", ["distortion", "edge-list", "el.edges", "--out", "nodir/d.json"],
      "--out", "nodir/d.json"),
     ("symmetry-demo", ["symmetry-demo", "--out", "nodir/s.json"], "--out", "nodir/s.json"),
+    # an output that is an existing directory
+    ("train out is a directory", ["train", "--config", "g.json", "--out", "adir"],
+     "--out", "adir"),
+    ("train checkpoint is a directory",
+     ["train", "--config", "g.json", "--checkpoint", "adir"], "--checkpoint", "adir"),
+    ("eval out is a directory", ["eval", "--checkpoint", "m.ckpt", "--out", "adir"],
+     "--out", "adir"),
+    ("generate out is a directory", ["generate", "grid", "3", "3", "--out", "adir"],
+     "--out", "adir"),
+    ("generate labels is a directory",
+     ["generate", "communities", "3", "3", "0.0", "--out", "adir.edges"],
+     "its labels file", "adir.labels"),
+    ("distortion out is a directory",
+     ["distortion", "edge-list", "el.edges", "--out", "adir"], "--out", "adir"),
+    ("symmetry-demo out is a directory", ["symmetry-demo", "--out", "adir"], "--out", "adir"),
 ]
 
 
@@ -227,17 +269,24 @@ _MISSING_DIRS = [
                          ids=[c[0] for c in _MISSING_DIRS])
 def test_output_in_a_missing_directory_exits_1_before_any_work(tmp_path, capsys, monkeypatch,
                                                                argv, flag, path):
+    """An output in a missing directory, or one that is a directory, exits 1
+    before any work."""
     def no_work(*args):
         raise AssertionError("work done before the outputs were checked")
 
     monkeypatch.chdir(tmp_path)
     files = _write_files(tmp_path)
+    for name in ("adir", "adir.labels"):
+        (tmp_path / name).mkdir()
     for builder in ("grid_graph", "connected_caveman", "load_edge_list", "symmetry_report"):
         monkeypatch.setattr(cli, builder, no_work)
     assert main(argv) == 1
-    assert capsys.readouterr().err == (
-        f"error: {flag} {path}: {os.path.dirname(path)} is not an existing directory\n")
-    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+    reason = (" is a directory" if os.path.isdir(path)
+              else f": {os.path.dirname(path)} is not an existing directory")
+    assert capsys.readouterr().err == f"error: {flag} {path}{reason}\n"
+    # nothing written, nothing left behind, and the directories still empty
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == files
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_dir()) == ["adir", "adir.labels"]
 
 
 def test_unknown_config_keys_fail_fast(tmp_path, capsys):
@@ -721,6 +770,22 @@ def test_distortion_report_on_grid(tmp_path, capsys):
     # embedded l1 distances never stretch the graph metric
     assert payload["expansion"]["max"] <= 1.0 + 1e-12
     assert payload["distortion"]["mean"] >= 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_distortion_with_a_collapsed_embedding_reports_inf(tmp_path, capsys):
+    """On a star, seed 1 of c = 0.5 maps two leaves to one point; the stats
+    over a finite and an infinite repeat are "inf", with no numpy warning."""
+    star = tmp_path / "star.edges"
+    star.write_text("0 1\n0 2\n0 3\n0 4\n0 5\n")
+    assert main(["distortion", "edge-list", str(star), "--anchor-c", "0.5",
+                 "--repeats", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["per_repeat"] == [
+        {"expansion": 0.6666666666666666, "contraction": 6.0, "distortion": 4.0},
+        {"expansion": 0.8333333333333333, "contraction": "inf", "distortion": "inf"}]
+    assert payload["expansion"] == {"mean": 0.75, "max": 0.8333333333333333}
+    assert payload["contraction"] == payload["distortion"] == {"mean": "inf", "max": "inf"}
 
 
 def test_distortion_rejects_disconnected_input(tmp_path, capsys):

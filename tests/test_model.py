@@ -26,7 +26,8 @@ from pgnn.tensor import ShapeError, Tape
 from pgnn.train import epoch_loss
 
 from helpers import (max_rel_err, numeric_grad, random_connected_graph,
-                     reference_gcn_forward, reference_pgnn_forward)
+                     reference_gcn_forward, reference_gcn_tape_forward,
+                     reference_pgnn_forward)
 
 
 def path_graph(n):
@@ -517,7 +518,43 @@ def test_gcn_index_memo_follows_its_inputs():
     for g in (graphs[0], graphs[1], graphs[0]):
         out = gcn_forward(Tape(), g, weights, layers=2).data
         assert np.array_equal(out, reference_gcn_forward(g, weights))
-        assert not any(a.flags.writeable for a in _gcn_index(g.adjacency))
+        assert not any(a.flags.writeable for p in _gcn_index(g.adjacency)
+                       for a in (p.data, p.indices, p.indptr))
+
+
+def _gcn_graphs():
+    """A graph with an isolated node and mixed degrees, and a rewired caveman."""
+    rng = np.random.default_rng(19)
+    tree = random_connected_graph(13, rng, extra_edges=9)
+    iso = Graph.from_edges(14, tree.edges())
+    assert iso.adjacency[13] == ()
+    comm = connected_caveman(4, 5, 0.2, 3)
+    return [Graph(n=g.n, adjacency=g.adjacency, features=rng.standard_normal((g.n, 3)))
+            for g in (iso, comm)]
+
+
+@pytest.mark.parametrize("g", _gcn_graphs(), ids=["isolated-node", "communities"])
+def test_gcn_operators_match_the_gather_formulation(g):
+    """One spmm per neighbour position against the gather/scale/add form:
+    the output and every weight gradient are bit-equal."""
+    degrees = [len(nbrs) for nbrs in g.adjacency]
+    assert len(set(degrees)) >= 3
+    weights = init_gcn_params(3, GCNConfig(layers=3, message_dim=4),
+                              np.random.default_rng(6))
+    rng = np.random.default_rng(7)
+    left, right = rng.standard_normal((1, g.n)), rng.standard_normal((4, 1))
+    runs = []
+    for forward in (lambda t: gcn_forward(t, g, weights, layers=3),
+                    lambda t: reference_gcn_tape_forward(t, g, weights)):
+        tape = Tape()
+        h = forward(tape)
+        loss = tape.matmul(tape.leaf(left), tape.matmul(h, tape.leaf(right)))
+        grads = tape.backward(loss)
+        runs.append((h.data, [grads[tape.leaf(w).id] for w in weights]))
+    (out, grads), (ref_out, ref_grads) = runs
+    assert np.array_equal(out, ref_out)
+    assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
+    assert any(np.abs(a).max() > 0 for a in grads)
 
 
 def test_gcn_hand_oracle_on_triangle():
