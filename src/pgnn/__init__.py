@@ -17,7 +17,7 @@ from .metric import (UNREACHABLE, AnchorFamily, DisconnectedGraphError,
                      similarity, truncate)
 from .model import (FAST_HOPS, VARIANTS, Embeddings, GCNConfig, PGNNConfig,
                     gcn_forward, init_gcn_params, init_pgnn_params,
-                    make_distance_input, pgnn_forward, singleton_family)
+                    make_distance_input, pgnn_forward)
 from .tensor import (AdamState, ShapeError, Tape, Value, adam_step)
 from .train import (SETTINGS, EpochRecord, Metrics, RepeatResult, TrainConfig,
                     epoch_loss, evaluate, model_label, pair_score,
@@ -38,6 +38,6 @@ __all__ = [
     "load_edge_list", "load_feature_csv", "load_node_labels",
     "make_distance_input", "measure_distortion", "model_label", "pair_score",
     "pgnn_forward", "roc_auc", "run_experiment", "sample_anchor_family",
-    "set_distance", "similarity", "singleton_family", "split_pairs",
+    "set_distance", "similarity", "split_pairs",
     "truncate", "write_edge_list", "write_node_labels",
 ]

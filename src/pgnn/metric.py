@@ -56,11 +56,12 @@ class DistanceMatrix:
 
 
 def _hop_counts(g: Graph, limit: float = math.inf, indices=None) -> np.ndarray:
-    """Hop counts from ``indices`` (default all nodes), UNREACHABLE past ``limit``."""
+    """Hop counts from ``indices`` (default all nodes), UNREACHABLE past ``limit``; dijkstra
+    runs directed, since Graph already guarantees a symmetric adjacency."""
     indptr = np.cumsum([0] + [len(nbrs) for nbrs in g.adjacency])
     cols = np.array([v for nbrs in g.adjacency for v in nbrs], dtype=np.int64)
     adj = csr_matrix((np.ones(cols.size), cols, indptr), shape=(g.n, g.n))
-    d = dijkstra(adj, directed=False, unweighted=True, limit=limit, indices=indices)
+    d = dijkstra(adj, directed=True, unweighted=True, limit=limit, indices=indices)
     return np.where(np.isinf(d), UNREACHABLE, d).astype(np.int64)
 
 

@@ -217,15 +217,12 @@ def pgnn_forward(tape: Tape, g: Graph, dm: DistanceMatrix, fam: AnchorFamily,
 
 
 @lru_cache(maxsize=1)
-def _gcn_index(adjacency: tuple[tuple[int, ...], ...]):
-    """One read-only n x n operator per neighbour position j: row v holds 0.5 / n at column
-    adjacency[v][j], nothing past v's degree.  Added in adjacency order, they keep mirror
-    nodes bit-identical.  Memoized on the last adjacency (a featured Graph is unhashable)."""
-    n = len(adjacency)
-    degree = np.fromiter(map(len, adjacency), np.int64, n)
-    cols = [[a[j] for a in adjacency if len(a) > j] for j in range(degree.max(initial=0))]
-    return tuple(_operator(np.full(len(c), 0.5 / n), c, np.r_[0, np.cumsum(degree > j)], n)
-                 for j, c in enumerate(cols))
+def _gcn_operator(adjacency: tuple[tuple[int, ...], ...]):
+    """Read-only n x n neighbour operator: row v holds 0.5 / n at each neighbour of v, listed
+    in adjacency order.  Memoized on the last adjacency (a featured Graph is unhashable)."""
+    indptr = np.cumsum([0, *map(len, adjacency)])
+    return _operator(np.full(indptr[-1], 0.5 / len(adjacency)),
+                     np.fromiter(chain.from_iterable(adjacency), np.int64), indptr, len(adjacency))
 
 
 def gcn_forward(tape: Tape, g: Graph, weights: list[np.ndarray],
@@ -234,24 +231,17 @@ def gcn_forward(tape: Tape, g: Graph, weights: list[np.ndarray],
 
     Per layer h_v <- (1/n) * sum_u s1(v, u) * relu(h_u W) where s1 is 1 on
     the node itself, 1/2 on neighbors and 0 beyond one hop; the output is
-    the final h.  1-hop distances come straight from the adjacency.
+    the final h.  The neighbour terms are one sparse product over the
+    adjacency, each row summed from zero, then added to the self term.
     """
     if g.features is None:
         raise ValueError("gcn_forward needs node features on the graph")
     if len(weights) != layers:
         raise ShapeError(f"{len(weights)} weight matrices for layers={layers}")
-    positions = _gcn_index(g.adjacency)
+    neighbours = _gcn_operator(g.adjacency)
     h = tape.leaf(g.features)
     for w in weights:
         msg = tape.relu(tape.matmul(h, tape.leaf(w)))
-        h = tape.scale_rows(msg, np.full((g.n, 1), 1.0 / g.n))
-        for p in positions:
-            h = tape.add(h, tape.spmm(p, msg))
+        h = tape.add(tape.scale_rows(msg, np.full((g.n, 1), 1.0 / g.n)),
+                     tape.spmm(neighbours, msg))
     return h
-
-
-def singleton_family(n: int) -> AnchorFamily:
-    """The n one-node anchor sets {0} .. {n-1}, for the degenerate reduction."""
-    return AnchorFamily(sets=tuple((v,) for v in range(n)),
-                        provenance=tuple((1, j + 1) for j in range(n)),
-                        c=1.0, seed=0)

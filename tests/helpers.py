@@ -157,42 +157,38 @@ def reference_pgnn_forward(g: Graph, dm, fam, params, closest: bool):
     return z, h
 
 
-def reference_gcn_forward(g: Graph, weights):
-    """Mean-pool baseline in plain numpy: one add per neighbor position.
+def reference_gcn(g: Graph, weights, grad_out):
+    """Mean-pool baseline forward and backward in plain numpy, node by node.
 
-    Per layer, h_v <- relu(h_v W) / n, then for j = 0, 1, ... the j-th
-    neighbor's relu(h_u W) * 0.5 / n is added; nodes with fewer neighbors
-    add a zero row at that position.
+    Forward, per layer: node v adds its neighbours' relu(h_u W) * 0.5 / n
+    from zero in adjacency order, then adds that sum to its own
+    relu(h_v W) / n.  Backward, from ``grad_out`` (the gradient of the final
+    h): source row u adds g_v * 0.5 / n from zero for each v that lists u,
+    in ascending v, then adds its own g_u / n.  Returns the output and the
+    gradient of every weight matrix.
     """
     n = g.n
-    max_deg = max((len(nbrs) for nbrs in g.adjacency), default=0)
-    h = np.asarray(g.features, dtype=np.float64)
+    hs, msgs = [np.asarray(g.features, dtype=np.float64)], []
     for w in weights:
-        msg = np.maximum(h @ w, 0.0)
-        acc = msg * np.full((n, 1), 1.0 / n)
-        for j in range(max_deg):
-            idx = [nbrs[j] if j < len(nbrs) else v for v, nbrs in enumerate(g.adjacency)]
-            scale = [[0.5 / n if j < len(nbrs) else 0.0] for nbrs in g.adjacency]
-            acc = acc + msg[idx] * np.array(scale)
-        h = acc
-    return h
-
-
-def reference_gcn_tape_forward(tape, g: Graph, weights):
-    """The mean-pool baseline on the tape as gathers: per neighbour position a
-    ``gather_rows`` (a node past its degree gathers itself), a ``scale_rows``
-    by 0.5 / n (0 past the degree) and an ``add``, after the self term."""
-    n = g.n
-    width = max((len(nbrs) for nbrs in g.adjacency), default=0)
-    h = tape.leaf(g.features)
-    for w in weights:
-        msg = tape.relu(tape.matmul(h, tape.leaf(w)))
-        h = tape.scale_rows(msg, np.full((n, 1), 1.0 / n))
-        for j in range(width):
-            idx = [nbrs[j] if j < len(nbrs) else v for v, nbrs in enumerate(g.adjacency)]
-            scale = [[0.5 / n if j < len(nbrs) else 0.0] for nbrs in g.adjacency]
-            h = tape.add(h, tape.scale_rows(tape.gather_rows(msg, idx), scale))
-    return h
+        msg = np.maximum(hs[-1] @ w, 0.0)
+        h = np.empty_like(msg)
+        for v, nbrs in enumerate(g.adjacency):
+            acc = np.zeros(msg.shape[1])
+            for u in nbrs:
+                acc = acc + 0.5 / n * msg[u]
+            h[v] = msg[v] * (1.0 / n) + acc
+        msgs.append(msg)
+        hs.append(h)
+    grad, grads = grad_out, []
+    for w, h, msg in reversed(list(zip(weights, hs, msgs))):
+        back = np.zeros_like(msg)
+        for v, nbrs in enumerate(g.adjacency):
+            for u in nbrs:
+                back[u] = back[u] + 0.5 / n * grad[v]
+        pre = (back + grad * (1.0 / n)) * (msg > 0.0)
+        grads.append(h.T @ pre)
+        grad = pre @ w.T
+    return hs[-1], grads[::-1]
 
 
 def dense_negatives(n: int, pos, count: int, rng):

@@ -175,6 +175,10 @@ def test_graph_validation_rejects_malformed_adjacency():
         Graph(n=2, adjacency=((1,), (0,)), features=np.ones((3, 1)))
     with pytest.raises(ValueError):
         Graph(n=2, adjacency=((1,), (0,)), labels=np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="adjacency length"):
+        Graph(n=2, adjacency=((),))
+    with pytest.raises(ValueError, match="finite"):
+        Graph(n=2, adjacency=((1,), (0,)), features=np.array([[np.nan], [1.0]]))
 
 
 def test_from_edges_drops_self_loops_and_duplicates():

@@ -113,6 +113,8 @@ def test_distance_matrix_validation():
         DistanceMatrix(np.array([[0, -3], [-3, 0]], dtype=np.int64))
     with pytest.raises(ValueError, match="hop counts below n"):
         DistanceMatrix(np.array([[0, 2], [2, 0]], dtype=np.int64))
+    with pytest.raises(ValueError, match="symmetric"):
+        DistanceMatrix(np.array([[0, 1, 2], [1, 0, 1], [1, 1, 0]], dtype=np.int64))
 
 
 def test_similarity_values():

@@ -13,25 +13,29 @@ from pgnn.model import (
     GCNConfig,
     PGNNConfig,
     _glorot,
-    _gcn_index,
+    _gcn_operator,
     _message_table,
     gcn_forward,
     init_gcn_params,
     init_pgnn_params,
     make_distance_input,
     pgnn_forward,
-    singleton_family,
 )
 from pgnn.tensor import ShapeError, Tape
 from pgnn.train import epoch_loss
 
-from helpers import (max_rel_err, numeric_grad, random_connected_graph,
-                     reference_gcn_forward, reference_gcn_tape_forward,
+from helpers import (max_rel_err, numeric_grad, random_connected_graph, reference_gcn,
                      reference_pgnn_forward)
 
 
 def path_graph(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def singleton_sets(n):
+    """The n one-node anchor sets {0} .. {n-1}, for the degenerate reduction."""
+    return AnchorFamily(sets=tuple((v,) for v in range(n)),
+                        provenance=tuple((1, v + 1) for v in range(n)), c=1.0, seed=0)
 
 
 def forward_embeddings(g, fam, params, cfg):
@@ -79,6 +83,8 @@ def test_init_shapes_bounds_and_determinism():
     assert gw[1].shape == (8, 8)
     with pytest.raises(ValueError):
         init_pgnn_params(0, cfg, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="d_in"):
+        init_gcn_params(0, GCNConfig(), np.random.default_rng(0))
 
 
 def test_fast_distances_are_two_hop_truncation():
@@ -444,7 +450,7 @@ def test_closest_and_mean_aggregation_agree_on_singleton_sets():
     rng = np.random.default_rng(7)
     g = random_connected_graph(10, rng, extra_edges=3)
     g = Graph(n=g.n, adjacency=g.adjacency, features=rng.standard_normal((10, 2)))
-    fam = singleton_family(10)
+    fam = singleton_sets(10)
     params = init_pgnn_params(2, PGNNConfig(layers=2, message_dim=4),
                               np.random.default_rng(2))
     z_close, h_close = forward_embeddings(
@@ -470,7 +476,7 @@ def test_position_aware_reduces_to_gcn_on_singleton_sets():
     cfg = PGNNConfig(layers=2, message_dim=5)
     one_hop = truncate(all_pairs(g), 1)
     tape = Tape()
-    emb = pgnn_forward(tape, g, one_hop, singleton_family(12), params, cfg)
+    emb = pgnn_forward(tape, g, one_hop, singleton_sets(12), params, cfg)
     baseline = gcn_forward(Tape(), g, weights, layers=2)
     assert np.abs(emb.h.data - baseline.data).max() <= 1e-12
 
@@ -480,16 +486,32 @@ def test_five_path_symmetry_dichotomy():
     weights = init_gcn_params(1, GCNConfig(layers=2, message_dim=8),
                               np.random.default_rng(0))
     out = gcn_forward(Tape(), g, weights, layers=2).data
-    # mirror images are indistinguishable to neighborhood aggregation; the
-    # end nodes agree bit for bit, interior mirrors only up to add order
+    # mirror images are indistinguishable to neighborhood aggregation, bit
+    # for bit: each interior node sums its two neighbour terms from zero,
+    # and x + y == y + x
     assert np.array_equal(out[0], out[4])
-    assert np.allclose(out[1], out[3], rtol=0.0, atol=1e-15)
+    assert np.array_equal(out[1], out[3])
 
     fam = AnchorFamily(sets=((0,),), provenance=((1, 1),), c=1.0, seed=0)
     cfg = PGNNConfig(layers=2, message_dim=8)
     params = init_pgnn_params(1, cfg, np.random.default_rng(0))
     z, _ = forward_embeddings(g, fam, params, cfg)
     assert np.abs(z[0] - z[4]).max() > 1e-6
+
+
+def assert_gcn_matches_reference(g, weights, seed):
+    """The output and every weight gradient of the tape's GCN are bit-equal to
+    the node-by-node numpy reference, under the loss left @ (h @ right)."""
+    rng = np.random.default_rng(seed)
+    left, right = rng.standard_normal((1, g.n)), rng.standard_normal((weights[-1].shape[1], 1))
+    tape = Tape()
+    h = gcn_forward(tape, g, weights, layers=len(weights))
+    table = tape.backward(tape.matmul(tape.leaf(left), tape.matmul(h, tape.leaf(right))))
+    grads = [table[tape.leaf(w).id] for w in weights]
+    ref_out, ref_grads = reference_gcn(g, weights, left.T @ right.T)
+    assert np.array_equal(h.data, ref_out)
+    assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads, strict=True))
+    assert any(np.abs(a).max() > 0 for a in grads)
 
 
 def test_gcn_matches_neighbor_position_reference():
@@ -501,8 +523,7 @@ def test_gcn_matches_neighbor_position_reference():
     assert degrees[11] == 0 and max(degrees) >= 3
     weights = init_gcn_params(3, GCNConfig(layers=3, message_dim=4),
                               np.random.default_rng(4))
-    out = gcn_forward(Tape(), g, weights, layers=3).data
-    assert np.array_equal(out, reference_gcn_forward(g, weights))
+    assert_gcn_matches_reference(g, weights, seed=5)
 
 
 def test_gcn_index_memo_follows_its_inputs():
@@ -516,10 +537,10 @@ def test_gcn_index_memo_follows_its_inputs():
     weights = init_gcn_params(3, GCNConfig(layers=2, message_dim=4),
                               np.random.default_rng(8))
     for g in (graphs[0], graphs[1], graphs[0]):
-        out = gcn_forward(Tape(), g, weights, layers=2).data
-        assert np.array_equal(out, reference_gcn_forward(g, weights))
-        assert not any(a.flags.writeable for p in _gcn_index(g.adjacency)
-                       for a in (p.data, p.indices, p.indptr))
+        assert_gcn_matches_reference(g, weights, seed=9)
+        op = _gcn_operator(g.adjacency)
+        assert op.shape == (g.n, g.n)
+        assert not any(a.flags.writeable for a in (op.data, op.indices, op.indptr))
 
 
 def _gcn_graphs():
@@ -535,26 +556,24 @@ def _gcn_graphs():
 
 @pytest.mark.parametrize("g", _gcn_graphs(), ids=["isolated-node", "communities"])
 def test_gcn_operators_match_the_gather_formulation(g):
-    """One spmm per neighbour position against the gather/scale/add form:
-    the output and every weight gradient are bit-equal."""
+    """The neighbour operator against the node-by-node numpy reference: the
+    output and every weight gradient are bit-equal."""
     degrees = [len(nbrs) for nbrs in g.adjacency]
     assert len(set(degrees)) >= 3
     weights = init_gcn_params(3, GCNConfig(layers=3, message_dim=4),
                               np.random.default_rng(6))
-    rng = np.random.default_rng(7)
-    left, right = rng.standard_normal((1, g.n)), rng.standard_normal((4, 1))
-    runs = []
-    for forward in (lambda t: gcn_forward(t, g, weights, layers=3),
-                    lambda t: reference_gcn_tape_forward(t, g, weights)):
-        tape = Tape()
-        h = forward(tape)
-        loss = tape.matmul(tape.leaf(left), tape.matmul(h, tape.leaf(right)))
-        grads = tape.backward(loss)
-        runs.append((h.data, [grads[tape.leaf(w).id] for w in weights]))
-    (out, grads), (ref_out, ref_grads) = runs
-    assert np.array_equal(out, ref_out)
-    assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
-    assert any(np.abs(a).max() > 0 for a in grads)
+    assert_gcn_matches_reference(g, weights, seed=7)
+
+
+@pytest.mark.parametrize("g", [grid_graph(20, 20), connected_caveman(20, 20, 0.01, seed=0)],
+                         ids=["grid", "communities"])
+def test_gcn_forward_records_13_tape_nodes(g):
+    """The features and per layer a weight, matmul, relu, scale_rows, spmm
+    and add, whatever the largest degree (4 on the grid, more on communities)."""
+    weights = init_gcn_params(1, GCNConfig(layers=2), np.random.default_rng(0))
+    tape = Tape()
+    gcn_forward(tape, constant_features(g), weights, layers=2)
+    assert len(tape) == 13
 
 
 def test_gcn_hand_oracle_on_triangle():
@@ -577,12 +596,6 @@ def test_gcn_argument_validation():
         gcn_forward(Tape(), path_graph(3), [np.eye(1)], layers=1)
     with pytest.raises(ShapeError):
         gcn_forward(Tape(), g, [np.eye(1)], layers=2)
-
-
-def test_singleton_family_layout():
-    fam = singleton_family(4)
-    assert fam.sets == ((0,), (1,), (2,), (3,))
-    assert fam.provenance == ((1, 1), (1, 2), (1, 3), (1, 4))
 
 
 @pytest.mark.parametrize("closest", [True, False])

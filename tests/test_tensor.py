@@ -112,6 +112,17 @@ def test_shape_errors():
         tape.spmm(operator(np.ones((2, 3))), a)
     with pytest.raises(ShapeError):
         tape.reshape(a, 4, 2)
+    with pytest.raises(ShapeError, match="1-d"):
+        tape.gather_rows(a, [[0, 1]])
+    with pytest.raises(ValueError, match="out of range"):
+        tape.gather_rows(a, [0, 2])
+    with pytest.raises(ShapeError, match="column"):
+        tape.bce_with_logits(b, [0.0, 1.0])
+    col = tape.leaf(np.zeros((2, 1)))
+    with pytest.raises(ShapeError, match="targets"):
+        tape.bce_with_logits(col, [0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="0 or 1"):
+        tape.bce_with_logits(col, [0.0, 0.5])
 
 
 def test_row_scatter_adds_in_row_order_like_add_at():
@@ -453,6 +464,10 @@ def test_adam_state_shapes_validated():
     bad = AdamState(step=1, m=(np.zeros((1, 1)),), v=(np.zeros((1, 1)),))
     with pytest.raises(ShapeError):
         adam_step(params, [np.ones((2, 2))], bad)
+    with pytest.raises(ShapeError, match="params vs"):
+        adam_step(params, [np.ones((2, 2))] * 2, None)
+    with pytest.raises(ShapeError, match="state tracks"):
+        adam_step(params, [np.ones((2, 2))], AdamState.fresh(params * 2))
 
 
 def test_adam_rejects_non_finite_gradients():
